@@ -4,16 +4,13 @@ Three workloads exercise the engine's ablation axes:
 
 * **backend axis** (Fig. 7(a)-style): maximal-resiliency search issues a
   sequence of budget-only-different queries.  ``fresh`` re-encodes per
-  query; ``incremental`` encodes the delivery layer once and scopes
-  budgets with push/pop activation literals; ``assumption`` selects
-  budgets with assumption literals over persistent extendable counters;
-  ``preprocessed`` additionally simplifies each CNF.
-* **budget-sweep axis** (the three-way ablation): a >= 20-query sweep
-  over failure budgets run on ``fresh`` vs ``incremental`` vs
-  ``assumption``, recording per-budget search effort and learned-clause
-  retention — push/pop loses every learned clause touching a scope's
-  activation literal when the scope pops, while assumption selection
-  keeps all of them.
+  query; ``assumption`` encodes the delivery layer once and selects
+  budgets with assumption literals over persistent extendable counters.
+* **budget-sweep axis**: a >= 20-query sweep over failure budgets run
+  on ``fresh`` vs ``assumption``, recording per-budget search effort and
+  learned-clause retention — a fresh solver starts every query with an
+  empty clause database, while assumption selection keeps every learned
+  clause across budgets.
 * **jobs axis** (Fig. 5(a)-style): a bus-size sweep fanned over a
   process pool must keep per-point outputs identical while reducing
   wall-clock on multicore hosts.
@@ -44,8 +41,6 @@ _results = {"backends": {}, "budget_sweep": {}, "sweep_jobs": {}}
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 SWEEP_JOBS = (1,) if SMOKE else (1, 2)
-#: The three-way ablation: one budget sweep per clause-reuse strategy.
-SWEEP_BACKENDS = ("fresh", "incremental", "assumption")
 #: Budgets visited per pass and number of passes; the non-smoke
 #: configuration issues 2 x 10 = 20 queries per backend.
 SWEEP_KS = tuple(range(4)) if SMOKE else tuple(range(10))
@@ -88,7 +83,7 @@ def _run_budget_sweep(network, problem, backend):
     """One >= 20-query budget sweep; per-query effort + retention."""
     engine = VerificationEngine(network, problem, backend=backend,
                                 lint=False)
-    shared_solver = backend in ("incremental", "assumption")
+    shared_solver = backend == "assumption"
     queries = []
     retained = 0
     for sweep_pass in range(SWEEP_PASSES):
@@ -128,8 +123,8 @@ def _run_budget_sweep(network, problem, backend):
     }
 
 
-@pytest.mark.parametrize("backend", SWEEP_BACKENDS)
-def test_budget_sweep_three_way(benchmark, system, backend):
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_budget_sweep(benchmark, system, backend):
     network, problem = system
     row = benchmark.pedantic(
         lambda: _run_budget_sweep(network, problem, backend),
@@ -170,41 +165,38 @@ def test_report_ablation(benchmark, results_dir, report):
             assert len(k_values) == 1, "backends disagree on k*"
             lines.append("verdict parity across backends: True")
             fresh = backends["fresh"]["mean_time"]
-            incremental = backends["incremental"]["mean_time"]
-            lines.append(f"incremental speedup over fresh: "
-                         f"{fresh / max(incremental, 1e-9):.2f}x")
+            assumption = backends["assumption"]["mean_time"]
+            lines.append(f"assumption speedup over fresh: "
+                         f"{fresh / max(assumption, 1e-9):.2f}x")
 
         sweeps = _results["budget_sweep"]
-        if len(sweeps) == len(SWEEP_BACKENDS):
-            # Verdict parity query by query across the three-way sweep.
+        if len(sweeps) == len(BACKEND_NAMES):
+            # Verdict parity query by query across the sweep.
             verdicts = {
                 name: [q["status"] for q in row["queries"]]
                 for name, row in sweeps.items()
             }
-            assert (verdicts["fresh"] == verdicts["incremental"]
-                    == verdicts["assumption"]), \
+            assert verdicts["fresh"] == verdicts["assumption"], \
                 "budget-sweep verdicts diverged"
             lines.append(f"budget sweep: "
                          f"{sweeps['fresh']['totals']['num_queries']} "
                          f"queries per backend, verdict parity: True")
-            for name in SWEEP_BACKENDS:
+            for name in BACKEND_NAMES:
                 totals = sweeps[name]["totals"]
                 lines.append(
                     f"budget sweep [{name:>12}]: "
                     f"conflicts {totals['conflicts']}, "
                     f"learned {totals['learned_clauses']}, "
                     f"retained {totals['final_retained_clauses']}")
-            # The tentpole claim: with every learned clause usable
-            # across budgets (push/pop permanently disables clauses
-            # that mention a popped scope's activation literal, even
-            # though they stay in the database and count as retained),
-            # the assumption backend re-derives less and conflicts
-            # less over the sweep.  Skipped in smoke mode: the 5-bus
-            # sweep is too small for stable search-effort comparisons.
+            # With every learned clause usable across budgets the
+            # assumption backend re-derives less and conflicts less
+            # over the sweep than fresh solvers do.  Skipped in smoke
+            # mode: the 5-bus sweep is too small for stable
+            # search-effort comparisons.
             if not SMOKE:
                 assert (sweeps["assumption"]["totals"]["conflicts"] <=
-                        sweeps["incremental"]["totals"]["conflicts"]), \
-                    "assumption backend needed more conflicts than push/pop"
+                        sweeps["fresh"]["totals"]["conflicts"]), \
+                    "assumption backend needed more conflicts than fresh"
             payload = json.dumps(sweeps, indent=2, sort_keys=True,
                                  default=str)
             (results_dir / "ablation_budget_sweep.json").write_text(

@@ -9,7 +9,7 @@ principled points rather than arbitrary budgets.
 
 Every instance is measured through the
 :class:`~repro.engine.VerificationEngine` (pass ``backend=`` to compare
-fresh / incremental / preprocessed), and whole sweeps fan out across a
+fresh / assumption), and whole sweeps fan out across a
 process pool via :class:`~repro.engine.SweepExecutor` (``jobs=``) with
 deterministic, submission-ordered results.
 """

@@ -8,7 +8,7 @@ instances.
 
 from .analyzer import ConfigurationLintError, ScadaAnalyzer
 from .encoder import ModelEncoder
-from .incremental import IncrementalAnalyzer, IncrementalContext
+from .incremental import IncrementalContext
 from .problem import ObservabilityProblem, group_rows_by_component
 from .reference import ReferenceEvaluator
 from .results import Status, ThreatVector, VerificationResult
@@ -18,7 +18,6 @@ from .specs import FailureBudget, Property, ResiliencySpec
 __all__ = [
     "ConfigurationLintError",
     "FailureBudget",
-    "IncrementalAnalyzer",
     "IncrementalContext",
     "ModelEncoder",
     "ObservabilityProblem",

@@ -16,15 +16,17 @@ top of ``verify`` (see :mod:`repro.analysis`).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.tracer import current_tracer, probe_for
 from ..obs.tracer import span as obs_span
 from ..sat.enumeration import drive_enumeration
+from ..sat.cnf import CNF
 from ..sat.limits import Limits
 from ..scada.network import ScadaNetwork
 from ..smt.solver import Result, Solver
-from ..smt.terms import Not, Or
+from ..smt.terms import Not, Or, Term
+from ..smt.tseitin import Encoder
 from .encoder import ModelEncoder
 from .extraction import extract_threat
 from .problem import ObservabilityProblem
@@ -63,18 +65,10 @@ class ScadaAnalyzer:
                  problem: ObservabilityProblem,
                  card_encoding: str = "totalizer",
                  lint: bool = True,
-                 preprocess: bool = False,
-                 reference: Optional[ReferenceEvaluator] = None,
-                 solver_opts: Optional[Dict[str, object]] = None) -> None:
+                 reference: Optional[ReferenceEvaluator] = None) -> None:
         self.network = network
         self.problem = problem
         self.card_encoding = card_encoding
-        self.preprocess = preprocess
-        #: Forwarded to every SAT substrate this analyzer builds:
-        #: ``inprocess`` (the ``--no-inprocess`` switch), portfolio
-        #: worker diversification (``seed``/``phase_init``/
-        #: ``restart_base``), ``cube`` assumptions, ``interrupt_check``.
-        self.solver_opts = dict(solver_opts or {})
         if lint:
             # Imported lazily: repro.lint imports core modules at module
             # level, so a top-level import here would be circular.
@@ -114,35 +108,39 @@ class ScadaAnalyzer:
         if solver is not None:
             solver.clear_interrupt()
 
-    @property
-    def backend_name(self) -> str:
-        return "preprocessed" if self.preprocess else "fresh"
+    backend_name = "fresh"
+
+    @staticmethod
+    def _threat_model(encoder: ModelEncoder,
+                      spec: ResiliencySpec) -> List[Term]:
+        """The assertions whose models are the spec's threat vectors."""
+        terms = list(encoder.availability_axioms())
+        terms += encoder.delivery_definitions(secured=False)
+        if spec.property.uses_security:
+            terms += encoder.delivery_definitions(secured=True)
+        terms.append(encoder.budget_constraint(spec.budget))
+        if spec.link_k is not None:
+            terms.append(encoder.link_budget_constraint(spec.link_k))
+        terms.append(encoder.property_negation(spec.property, spec.r))
+        return terms
+
+    def _model_encoder(self, spec: ResiliencySpec) -> ModelEncoder:
+        return ModelEncoder(self.network, self.problem,
+                            model_links=spec.link_k is not None)
 
     def _build(self, spec: ResiliencySpec,
-               produce_proof: bool = False,
-               preprocess: Optional[bool] = None) -> tuple:
+               produce_proof: bool = False) -> tuple:
         """Encode the threat-verification model into a fresh solver."""
-        encoder = ModelEncoder(self.network, self.problem,
-                               model_links=spec.link_k is not None)
+        encoder = self._model_encoder(spec)
         solver = Solver(card_encoding=self.card_encoding,
-                        produce_proof=produce_proof,
-                        preprocess=(self.preprocess if preprocess is None
-                                    else preprocess),
-                        solver_opts=self.solver_opts)
+                        produce_proof=produce_proof)
         self._live_solver = solver
         if self._interrupt_requested:
             solver.interrupt()
         solver.set_hooks(probe_for(current_tracer()))
         started = time.perf_counter()
         with obs_span("encode", backend=self.backend_name):
-            solver.add(*encoder.availability_axioms())
-            solver.add(*encoder.delivery_definitions(secured=False))
-            if spec.property.uses_security:
-                solver.add(*encoder.delivery_definitions(secured=True))
-            solver.add(encoder.budget_constraint(spec.budget))
-            if spec.link_k is not None:
-                solver.add(encoder.link_budget_constraint(spec.link_k))
-            solver.add(encoder.property_negation(spec.property, spec.r))
+            solver.add(*self._threat_model(encoder, spec))
         encode_time = time.perf_counter() - started
         return solver, encoder, encode_time
 
@@ -276,16 +274,17 @@ class ScadaAnalyzer:
         solver, _, _ = self._build(spec)
         return {"vars": solver.num_vars, "clauses": solver.num_clauses}
 
-    def export_cnf(self, spec: ResiliencySpec) -> tuple:
+    def export_cnf(self, spec: ResiliencySpec) -> Tuple[CNF, Set[int]]:
         """The Tseitin-emitted CNF of the threat model, plus its frozen
         variables (the named model variables an analysis must keep).
 
-        Used by ``repro lint --encoding`` and the preprocessing
-        benchmarks; solving is untouched.
+        Used by ``repro lint --encoding``; nothing is solved.
         """
-        solver, _, _ = self._build(spec, preprocess=True)
-        assert solver.cnf is not None
-        return solver.cnf, set(solver.named_variables().values())
+        cnf = CNF()
+        tseitin = Encoder(cnf, card_encoding=self.card_encoding)
+        for term in self._threat_model(self._model_encoder(spec), spec):
+            tseitin.assert_term(term)
+        return cnf, set(tseitin.var_names.values())
 
     def export_smtlib(self, spec: ResiliencySpec) -> str:
         """The full threat-verification model as an SMT-LIB 2 script.

@@ -185,8 +185,8 @@ class ModelEncoder:
     def property_negation(self, prop: Property, r: int = 1) -> Term:
         """The threat condition ``¬property`` for any supported property.
 
-        The single dispatch point used by every verification backend
-        (fresh, incremental, preprocessed) and the attack-cost search;
+        The single dispatch point used by both verification backends
+        (fresh, assumption) and the attack-cost search;
         ``r`` only matters for bad-data detectability.
         """
         if prop is Property.OBSERVABILITY:

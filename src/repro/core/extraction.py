@@ -1,8 +1,8 @@
 """Shared sat-model → :class:`ThreatVector` translation.
 
-Every backend that obtains a satisfying assignment for the threat model
-— the fresh analyzer, the incremental push/pop context, and the
-preprocessed pipeline — decodes it identically: read the failed devices
+Both paths that obtain a satisfying assignment for the threat model —
+the fresh analyzer and the cached assumption context — decode it
+identically: read the failed devices
 (and links) off the model, validate them against the independent
 reference evaluator, optionally shrink to an inclusion-minimal set, and
 attach the delivery evidence explaining *why* the property fails.

@@ -7,25 +7,15 @@ per query; an :class:`IncrementalContext` encodes the budget-independent
 part — delivery definitions, availability axioms, and the property
 negation — once, and answers each budget against the shared solver.
 
-Two budget-selection modes are supported:
-
-* ``"scopes"`` (the original): each query opens a push/pop scope and
-  re-encodes its cardinality constraint inside it.  Learned clauses
-  touching the budget die with the scope's activation literal.
-* ``"assumptions"``: every budget bound is a selector literal over a
-  persistent, extendable totalizer (:class:`~repro.smt.BudgetHandle`),
-  passed to ``check`` as an assumption.  Nothing is re-encoded per
-  query — a new budget only *grows* the counter the first time it is
-  seen — and **all** learned clauses survive across budgets.  For
-  bad-data detectability the redundancy parameter ``r`` is gated the
-  same way, so one context serves every ``(k, r)`` combination.
-
-The verdicts are identical by construction; the ablation benchmark
-``bench_ablation_incremental`` quantifies the difference.  The
-:class:`~repro.engine.VerificationEngine`'s ``incremental`` and
-``assumption`` backends keep contexts in its encoding cache;
-:class:`IncrementalAnalyzer` remains as the original
-budget-parameterized facade over a single context.
+Every budget bound is a selector literal over a persistent, extendable
+totalizer (:class:`~repro.smt.BudgetHandle`), passed to ``check`` as an
+assumption.  Nothing is re-encoded per query — a new budget only
+*grows* the counter the first time it is seen — and **all** learned
+clauses survive across budgets.  For bad-data detectability the
+redundancy parameter ``r`` is gated the same way, so one context serves
+every ``(k, r)`` combination.  The
+:class:`~repro.engine.VerificationEngine`'s ``assumption`` backend keeps
+contexts in its encoding cache.
 """
 
 from __future__ import annotations
@@ -36,7 +26,7 @@ from typing import Dict, List, Optional
 from ..obs.tracer import current_tracer, probe_for
 from ..obs.tracer import span as obs_span
 from ..sat.enumeration import drive_enumeration
-from ..sat.limits import Limits, ResourceLimitReached
+from ..sat.limits import Limits
 from ..scada.network import ScadaNetwork
 from ..smt.solver import BudgetHandle, Result, Solver
 from ..smt.terms import Bool, BoolVal, Implies, Not, Or, Term
@@ -45,58 +35,40 @@ from .extraction import extract_threat
 from .problem import ObservabilityProblem
 from .reference import ReferenceEvaluator
 from .results import Status, ThreatVector, VerificationResult
-from .search import galloping_max_bounded
-from .specs import FailureBudget, Property, ResiliencySpec
+from .specs import Property, ResiliencySpec
 
-__all__ = ["BUDGET_MODES", "IncrementalContext", "IncrementalAnalyzer"]
-
-#: How a context binds each query's budget to the shared solver.
-BUDGET_MODES = ("scopes", "assumptions")
+__all__ = ["IncrementalContext"]
 
 
 class IncrementalContext:
-    """A cached base encoding for one (property, r, link-modeling) key.
+    """A cached base encoding for one (property, link-modeling) key.
 
     All budget-parameterized queries against that key — single verdicts,
     galloping max-resiliency probes, threat enumeration — run against
-    the shared solver, so learned clauses carry over.  With
-    ``budget_mode="scopes"`` each query re-encodes its cardinality
-    constraint in a push/pop scope; with ``budget_mode="assumptions"``
-    budgets are chosen by assumption literals over persistent extendable
-    counters and nothing is re-encoded (in that mode the context also
-    serves *every* ``r`` for bad-data detectability).
+    the shared solver, so learned clauses carry over.  Budgets (and,
+    for bad-data detectability, ``r``) are chosen by assumption literals
+    over persistent extendable counters, so nothing is re-encoded.
     """
+
+    backend_name = "assumption"
 
     def __init__(self, network: ScadaNetwork,
                  problem: ObservabilityProblem,
                  prop: Property = Property.OBSERVABILITY,
-                 r: int = 1,
                  model_links: bool = False,
                  card_encoding: str = "totalizer",
-                 reference: Optional[ReferenceEvaluator] = None,
-                 budget_mode: str = "scopes",
-                 solver_opts: Optional[Dict[str, object]] = None) -> None:
-        if budget_mode not in BUDGET_MODES:
-            raise ValueError(f"unknown budget mode {budget_mode!r}; "
-                             f"expected one of {', '.join(BUDGET_MODES)}")
+                 reference: Optional[ReferenceEvaluator] = None) -> None:
         self.network = network
         self.problem = problem
         self.prop = prop
-        self.r = r
         self.model_links = model_links
-        self.budget_mode = budget_mode
-        self.backend_name = ("assumption" if budget_mode == "assumptions"
-                             else "incremental")
         self.reference = reference or ReferenceEvaluator(network, problem)
         self._encoder = ModelEncoder(network, problem,
                                      model_links=model_links)
-        self._solver = Solver(card_encoding=card_encoding,
-                              solver_opts=solver_opts)
-        # With assumption-selected budgets, the bad-data redundancy
-        # parameter r is gated per query exactly like k, so the base
-        # encoding is r-independent.
-        self._gate_r = (budget_mode == "assumptions"
-                        and prop is Property.BAD_DATA_DETECTABILITY)
+        self._solver = Solver(card_encoding=card_encoding)
+        # The bad-data redundancy parameter r is gated per query exactly
+        # like k, so the base encoding is r-independent.
+        self._gate_r = prop is Property.BAD_DATA_DETECTABILITY
         self._negation_selectors: Dict[int, Term] = {}
         started = time.perf_counter()
         self._solver.add(*self._encoder.availability_axioms())
@@ -105,7 +77,7 @@ class IncrementalContext:
             self._solver.add(
                 *self._encoder.delivery_definitions(secured=True))
         if not self._gate_r:
-            self._solver.add(self._encoder.property_negation(prop, r))
+            self._solver.add(self._encoder.property_negation(prop))
         if model_links:
             # Allocate every topology link's variable up front so
             # per-query link budgets never grow the base numbering.
@@ -135,23 +107,10 @@ class IncrementalContext:
             raise ValueError(
                 f"context encodes {self.prop.value}, got a "
                 f"{spec.property.value} spec")
-        if (spec.property is Property.BAD_DATA_DETECTABILITY
-                and not self._gate_r and spec.r != self.r):
-            raise ValueError(
-                f"context encodes r={self.r}, got a spec with r={spec.r}")
         if (spec.link_k is not None) != self.model_links:
             raise ValueError(
                 "context link modeling does not match the spec: "
                 f"model_links={self.model_links}, link_k={spec.link_k}")
-
-    def _add_budgets(self, spec: ResiliencySpec) -> None:
-        """Scope mode: assert this query's budgets (inside a scope)."""
-        self._solver.add(self._encoder.budget_constraint(spec.budget))
-        if spec.link_k is not None:
-            self._solver.add(
-                self._encoder.link_budget_constraint(spec.link_k))
-
-    # -- assumption mode ------------------------------------------------
 
     def _device_handle(self, kind: str) -> BudgetHandle:
         enc = self._encoder
@@ -215,31 +174,18 @@ class IncrementalContext:
         self._check_spec(spec)
         solver = self._solver
         solver.set_hooks(probe_for(current_tracer()))
-        if self.budget_mode == "assumptions":
-            started = time.perf_counter()
-            with obs_span("encode", backend=self.backend_name):
-                pre_vars, pre_clauses = solver.num_vars, solver.num_clauses
-                assumptions = self._budget_assumptions(spec)
-            encode_time = time.perf_counter() - started
-            with obs_span("solve", backend=self.backend_name) as sp:
-                outcome = solver.check(*assumptions,
-                                       max_conflicts=max_conflicts,
-                                       limits=limits)
-                sp.attrs["result"] = outcome.value
-            return self._result(spec, outcome, encode_time,
-                                pre_vars, pre_clauses, minimize)
-        with solver.scope():
-            started = time.perf_counter()
-            with obs_span("encode", backend=self.backend_name):
-                pre_vars, pre_clauses = solver.num_vars, solver.num_clauses
-                self._add_budgets(spec)
-            encode_time = time.perf_counter() - started
-            with obs_span("solve", backend=self.backend_name) as sp:
-                outcome = solver.check(max_conflicts=max_conflicts,
-                                       limits=limits)
-                sp.attrs["result"] = outcome.value
-            return self._result(spec, outcome, encode_time,
-                                pre_vars, pre_clauses, minimize)
+        started = time.perf_counter()
+        with obs_span("encode", backend=self.backend_name):
+            pre_vars, pre_clauses = solver.num_vars, solver.num_clauses
+            assumptions = self._budget_assumptions(spec)
+        encode_time = time.perf_counter() - started
+        with obs_span("solve", backend=self.backend_name) as sp:
+            outcome = solver.check(*assumptions,
+                                   max_conflicts=max_conflicts,
+                                   limits=limits)
+            sp.attrs["result"] = outcome.value
+        return self._result(spec, outcome, encode_time,
+                            pre_vars, pre_clauses, minimize)
 
     def _result(self, spec: ResiliencySpec, outcome: Result,
                 encode_time: float, pre_vars: int, pre_clauses: int,
@@ -249,8 +195,8 @@ class IncrementalContext:
         # own: the shared base plus the query's budget delta.  The
         # shared solver's raw totals accumulate every previous query's
         # budget encoding and would inflate scaling tables relative to
-        # the fresh backend.  (In assumption mode a repeated budget's
-        # delta is zero: its counter already exists.)
+        # the fresh backend.  (A repeated budget's delta is zero: its
+        # counter already exists.)
         result = VerificationResult(
             spec=spec,
             status=Status.UNKNOWN,
@@ -290,18 +236,16 @@ class IncrementalContext:
 
         Blocking clauses are asserted inside a query scope, so the
         cached base encoding is untouched once the scope pops and later
-        queries see no leftover blocks.  In assumption mode the budget
-        itself still rides on assumption selectors (created *before*
-        the scope opens, so their definitions are permanent); only the
-        blocking clauses are scoped.
+        queries see no leftover blocks.  The budget itself rides on
+        assumption selectors (created *before* the scope opens, so
+        their definitions are permanent); only the blocking clauses are
+        scoped.
         """
         self._check_spec(spec)
         solver = self._solver
         solver.set_hooks(probe_for(current_tracer()))
         node_vars = self._encoder.field_node_vars()
-        assumptions: List[Term] = []
-        if self.budget_mode == "assumptions":
-            assumptions = self._budget_assumptions(spec)
+        assumptions = self._budget_assumptions(spec)
 
         def check() -> Optional[bool]:
             outcome = solver.check(*assumptions,
@@ -344,8 +288,6 @@ class IncrementalContext:
             return bool(failed or failed_links)
 
         with solver.scope():
-            if self.budget_mode != "assumptions":
-                self._add_budgets(spec)
             # On budget expiry drive_enumeration raises
             # ResourceLimitReached carrying the vectors found so far;
             # the scope's context manager pops the blocking clauses on
@@ -354,97 +296,3 @@ class IncrementalContext:
             return list(drive_enumeration(
                 check, extract, block, limit=limit, what="threat vector",
                 limit_reason=lambda: solver.last_limit_reason))
-
-    # ------------------------------------------------------------------
-
-    def max_total_resiliency(self,
-                             max_conflicts: Optional[int] = None,
-                             limits: Optional[Limits] = None) -> int:
-        """Largest k with the property k-resilient (galloping search).
-
-        An UNKNOWN probe is neither bound: the search stops refining
-        and raises :exc:`~repro.sat.ResourceLimitReached` carrying the
-        sound :class:`~repro.core.search.SearchBounds` bracket.
-        """
-        def probe(k: int) -> Optional[bool]:
-            outcome = self.verify(
-                ResiliencySpec.for_property(self.prop, r=self.r, k=k),
-                minimize=False, max_conflicts=max_conflicts,
-                limits=limits)
-            if outcome.status is Status.UNKNOWN:
-                return None
-            return outcome.is_resilient
-
-        bounds = galloping_max_bounded(
-            probe, len(self.network.field_device_ids))
-        if not bounds.exact:
-            raise ResourceLimitReached(
-                f"budget exhausted in incremental max-resiliency "
-                f"search; maximum {bounds.describe()}",
-                bounds=bounds)
-        return bounds.lower
-
-
-class IncrementalAnalyzer:
-    """Budget-parameterized verification over a fixed property.
-
-    The property (and ``r``, for bad-data detectability) is fixed at
-    construction; :meth:`verify_budget` then answers any
-    :class:`FailureBudget` against the shared encoding.  This is the
-    original facade kept for API compatibility; new code should go
-    through :class:`~repro.engine.VerificationEngine` with
-    ``backend="incremental"`` (or ``"assumption"``), which additionally
-    caches contexts across properties.
-    """
-
-    def __init__(self, network: ScadaNetwork,
-                 problem: ObservabilityProblem,
-                 prop: Property = Property.OBSERVABILITY,
-                 r: int = 1,
-                 card_encoding: str = "totalizer",
-                 budget_mode: str = "scopes") -> None:
-        self._ctx = IncrementalContext(network, problem, prop=prop, r=r,
-                                       card_encoding=card_encoding,
-                                       budget_mode=budget_mode)
-
-    @property
-    def network(self) -> ScadaNetwork:
-        return self._ctx.network
-
-    @property
-    def problem(self) -> ObservabilityProblem:
-        return self._ctx.problem
-
-    @property
-    def prop(self) -> Property:
-        return self._ctx.prop
-
-    @property
-    def r(self) -> int:
-        return self._ctx.r
-
-    @property
-    def reference(self) -> ReferenceEvaluator:
-        return self._ctx.reference
-
-    @property
-    def base_encode_time(self) -> float:
-        return self._ctx.base_encode_time
-
-    def verify_budget(self, budget: FailureBudget,
-                      minimize: bool = True,
-                      max_conflicts: Optional[int] = None,
-                      limits: Optional[Limits] = None
-                      ) -> VerificationResult:
-        """Verify the fixed property under one failure budget."""
-        spec = ResiliencySpec(self.prop, budget, r=self.r)
-        return self._ctx.verify(spec, minimize=minimize,
-                                max_conflicts=max_conflicts,
-                                limits=limits)
-
-    def max_total_resiliency(self,
-                             max_conflicts: Optional[int] = None,
-                             limits: Optional[Limits] = None) -> int:
-        """Largest k with the property k-resilient (galloping search)."""
-        return self._ctx.max_total_resiliency(max_conflicts=max_conflicts,
-                                              limits=limits)

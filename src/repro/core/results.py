@@ -4,7 +4,9 @@ A ``sat`` answer from the solver is translated into a
 :class:`ThreatVector` — the set of unavailable devices together with the
 downstream evidence (undelivered measurements, uncovered states) that
 explains *why* the property fails, mirroring the paper's "elaborate
-result" discussion (§IV-A).
+result" discussion (§IV-A).  A :class:`VerificationResult` records which
+of the two backends answered (``fresh`` or ``assumption``) and that
+query's own solver statistics.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class VerificationResult:
     num_clauses: int = 0
     details: Dict[str, object] = field(default_factory=dict)
     #: Which verification backend produced this result
-    #: ("fresh", "incremental", "preprocessed").
+    #: ("fresh" or "assumption").
     backend: str = "fresh"
     #: Per-query solver search statistics (conflicts, decisions,
     #: propagations, restarts, check_time) — deltas attributable to this

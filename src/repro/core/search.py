@@ -4,7 +4,7 @@ Resiliency is monotone in the failure budget — enlarging the budget can
 only admit more threat vectors — so the largest holding budget can be
 found with a galloping upper-bound probe followed by binary search.
 This helper is the single implementation behind
-:mod:`repro.analysis.max_resiliency`, the incremental analyzer, and the
+:mod:`repro.analysis.max_resiliency` and the
 :class:`~repro.engine.VerificationEngine` search methods.
 
 With resource-bounded solving the oracle is *three-valued*: a probe may

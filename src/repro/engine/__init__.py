@@ -11,9 +11,6 @@ from .backends import (
     BACKEND_NAMES,
     AssumptionBackend,
     FreshBackend,
-    IncrementalBackend,
-    PortfolioBackend,
-    PreprocessedBackend,
     VerificationBackend,
     make_backend,
 )
@@ -27,9 +24,6 @@ __all__ = [
     "EncodingCache",
     "EncodingKey",
     "FreshBackend",
-    "IncrementalBackend",
-    "PortfolioBackend",
-    "PreprocessedBackend",
     "SweepExecutor",
     "SweepTaskError",
     "VerificationBackend",

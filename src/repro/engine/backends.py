@@ -1,34 +1,30 @@
-"""Pluggable verification backends.
+"""The two verification backends.
 
-Every backend answers the same two questions — "does a threat vector
-exist within this spec's budgets?" and "enumerate them" — but trades
-encoding work differently:
+Both answer the same two questions — "does a threat vector exist
+within this spec's budgets?" and "enumerate them" — but trade encoding
+work differently:
 
 * ``fresh`` — re-encode the whole model into a new solver per query
-  (the original :class:`~repro.core.analyzer.ScadaAnalyzer` path);
-* ``incremental`` — encode the budget-independent part once per
-  (property, r, link-modeling) key, scope budgets with push/pop, and
-  reuse learned clauses across queries (backed by the engine's
-  encoding cache);
-* ``assumption`` — like ``incremental``, but budgets (and the bad-data
-  ``r``) are selected by assumption literals over persistent extendable
-  counters instead of push/pop scopes, so *all* learned clauses survive
-  across budgets and one cached context serves every ``(k, r)``;
-* ``preprocessed`` — buffer the encoding as CNF and run the lint
-  subsystem's SatELite-style simplifier before each solve;
-* ``portfolio`` — probe in-process, then race one hard query across a
-  process pool of diversified solvers and cube-and-conquer splits,
-  first decisive finisher wins (see :mod:`repro.engine.portfolio`).
+  (the original :class:`~repro.core.analyzer.ScadaAnalyzer` path).  It
+  is the independent oracle, the only path that certifies (RUP proofs
+  need an assumption-free solve), and the cheapest for one-shot cells.
+* ``assumption`` — encode the budget-independent part once per
+  (property, link-modeling) key, cached in the engine's encoding cache;
+  budgets (and the bad-data ``r``) are selected by assumption literals
+  over persistent extendable counters, so *all* learned clauses survive
+  across budgets and one cached context serves every ``(k, r)``.  This
+  is the warm path of the service, the watchers and max-resiliency
+  searches.
 
-All backends return :class:`~repro.core.results.VerificationResult`
-objects carrying per-query solver statistics and are verdict-equivalent
-by construction (property-tested in ``tests/engine``).
+Both return :class:`~repro.core.results.VerificationResult` objects
+carrying per-query solver statistics and are verdict-equivalent by
+construction (differential-tested in ``tests/engine``).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Protocol
+from typing import List, Optional, Protocol
 
 from ..core.analyzer import ScadaAnalyzer
 from ..core.incremental import IncrementalContext
@@ -45,12 +41,20 @@ __all__ = [
     "BACKEND_NAMES",
     "AssumptionBackend",
     "FreshBackend",
-    "IncrementalBackend",
-    "PortfolioBackend",
-    "PreprocessedBackend",
     "VerificationBackend",
+    "check_backend",
     "make_backend",
 ]
+
+BACKEND_NAMES = ("fresh", "assumption")
+
+
+def check_backend(name: str) -> str:
+    """*name* if it is a backend; otherwise a ``ValueError`` naming them."""
+    if name not in BACKEND_NAMES:
+        raise ValueError(f"unknown backend {name!r}; expected one of "
+                         f"{', '.join(BACKEND_NAMES)}")
+    return name
 
 
 class VerificationBackend(Protocol):
@@ -87,18 +91,15 @@ class FreshBackend:
     """One fresh solver and full re-encode per query."""
 
     name = "fresh"
-    _preprocess = False
 
     def __init__(self, network: ScadaNetwork,
                  problem: ObservabilityProblem,
                  card_encoding: str = "totalizer",
-                 reference: Optional[ReferenceEvaluator] = None,
-                 solver_opts: Optional[Dict[str, object]] = None) -> None:
+                 reference: Optional[ReferenceEvaluator] = None) -> None:
         # Lint runs once in the engine; backends never re-lint.
         self.analyzer = ScadaAnalyzer(
             network, problem, card_encoding=card_encoding, lint=False,
-            preprocess=self._preprocess, reference=reference,
-            solver_opts=solver_opts)
+            reference=reference)
 
     def verify(self, spec: ResiliencySpec, minimize: bool = True,
                max_conflicts: Optional[int] = None,
@@ -127,36 +128,27 @@ class FreshBackend:
         self.analyzer.clear_interrupt()
 
 
-class PreprocessedBackend(FreshBackend):
-    """Fresh encoding, simplified by the CNF preprocessor before solving."""
+class AssumptionBackend:
+    """Cached base encodings with assumption-selected budgets.
 
-    name = "preprocessed"
-    _preprocess = True
+    Each query's budgets are activated by assumption literals over
+    persistent, extendable cardinality counters
+    (:class:`~repro.smt.BudgetHandle`), so learned clauses are never
+    discarded between budgets and bad-data contexts serve every ``r``.
+    """
 
-
-class IncrementalBackend:
-    """Cached base encodings with per-query push/pop budget scopes."""
-
-    name = "incremental"
-    #: How cached contexts bind per-query budgets; the subclass flips it.
-    _budget_mode = "scopes"
+    name = "assumption"
 
     def __init__(self, network: ScadaNetwork,
                  problem: ObservabilityProblem,
                  card_encoding: str = "totalizer",
                  reference: Optional[ReferenceEvaluator] = None,
-                 cache: Optional[EncodingCache] = None,
-                 solver_opts: Optional[Dict[str, object]] = None) -> None:
+                 cache: Optional[EncodingCache] = None) -> None:
         self.network = network
         self.problem = problem
         self.card_encoding = card_encoding
         self.reference = reference or ReferenceEvaluator(network, problem)
         self.cache = cache if cache is not None else EncodingCache()
-        # Cached contexts are keyed by encoding shape, not solver
-        # options; an engine carries one solver_opts value for life (and
-        # shares it across with_backend siblings), so contexts built
-        # under one opts value are never mixed with another's.
-        self.solver_opts = dict(solver_opts or {})
         self._network_fp = network.fingerprint()
         self._problem_fp = problem.fingerprint()
         self._certify_fallback: Optional[FreshBackend] = None
@@ -170,24 +162,19 @@ class IncrementalBackend:
     def _context(
         self, spec: ResiliencySpec,
     ) -> "tuple[EncodingKey, IncrementalContext]":
-        # In assumption mode r is query-selected, so every r shares one
-        # context; the key uses a -1 sentinel in its place.
         key = EncodingKey(
             network_fingerprint=self._network_fp,
             problem_fingerprint=self._problem_fp,
             prop=spec.property,
-            r=spec.r if self._budget_mode == "scopes" else -1,
             model_links=spec.link_k is not None,
             card_encoding=self.card_encoding,
         )
         def build() -> IncrementalContext:
             ctx = IncrementalContext(
-                self.network, self.problem, prop=spec.property, r=spec.r,
+                self.network, self.problem, prop=spec.property,
                 model_links=spec.link_k is not None,
                 card_encoding=self.card_encoding,
-                reference=self.reference,
-                budget_mode=self._budget_mode,
-                solver_opts=self.solver_opts)
+                reference=self.reference)
             obs_event("backend.context_created", backend=self.name,
                       prop=spec.property.value,
                       base_encode_time=ctx.base_encode_time)
@@ -233,8 +220,7 @@ class IncrementalBackend:
                 self._certify_fallback = FreshBackend(
                     self.network, self.problem,
                     card_encoding=self.card_encoding,
-                    reference=self.reference,
-                    solver_opts=self.solver_opts)
+                    reference=self.reference)
             obs_event("backend.certify_fallback", backend=self.name)
             result = self._certify_fallback.verify(
                 spec, minimize=minimize, max_conflicts=max_conflicts,
@@ -246,14 +232,14 @@ class IncrementalBackend:
             return ctx.verify(spec, minimize=minimize,
                               max_conflicts=max_conflicts, limits=limits)
         except ResourceLimitReached:
-            # A clean limit outcome unwinds the query scope; the cached
-            # base encoding is still consistent and worth keeping.
+            # A clean limit outcome leaves the shared solver consistent;
+            # the cached base encoding is worth keeping.
             raise
         except Exception:
-            # Anything else may have left the shared solver mid-scope
-            # with partially-asserted budgets: evict the poisoned
-            # context so the next query re-encodes from scratch instead
-            # of inheriting corrupt state.
+            # Anything else may have left the shared solver with
+            # partially-asserted state: evict the poisoned context so
+            # the next query re-encodes from scratch instead of
+            # inheriting corrupt state.
             self.cache.invalidate(key)
             raise
 
@@ -275,65 +261,15 @@ class IncrementalBackend:
             raise
 
 
-class AssumptionBackend(IncrementalBackend):
-    """Cached base encodings with assumption-selected budgets.
-
-    Same caching structure as :class:`IncrementalBackend`, but each
-    query's budgets are activated by assumption literals over
-    persistent, extendable cardinality counters
-    (:class:`~repro.smt.BudgetHandle`) instead of re-encoded inside a
-    push/pop scope.  Learned clauses are never discarded between
-    budgets, and bad-data contexts serve every ``r``.
-    """
-
-    name = "assumption"
-    _budget_mode = "assumptions"
-
-
-# Imported late: repro.engine.portfolio imports this module's siblings.
-from .portfolio import PortfolioBackend  # noqa: E402
-
-BACKEND_NAMES = ("fresh", "incremental", "assumption", "preprocessed",
-                 "portfolio")
-
-_CLASSES = {
-    "fresh": FreshBackend,
-    "incremental": IncrementalBackend,
-    "assumption": AssumptionBackend,
-    "preprocessed": PreprocessedBackend,
-    "portfolio": PortfolioBackend,
-}
-
-
 def make_backend(name: str, network: ScadaNetwork,
                  problem: ObservabilityProblem,
                  card_encoding: str = "totalizer",
                  reference: Optional[ReferenceEvaluator] = None,
-                 cache: Optional[EncodingCache] = None,
-                 jobs: int = 0,
-                 solver_opts: Optional[Dict[str, object]] = None
+                 cache: Optional[EncodingCache] = None
                  ) -> VerificationBackend:
-    """Instantiate a backend by name (``fresh`` | ``incremental`` |
-    ``assumption`` | ``preprocessed`` | ``portfolio``).
-
-    *jobs* sizes the portfolio's process pool (``0`` → usable CPU
-    count; other backends ignore it).  *solver_opts* is forwarded to
-    every SAT substrate the backend builds — e.g. ``{"inprocess":
-    False}`` to disable inter-restart clause-database inprocessing.
-    """
-    try:
-        cls = _CLASSES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of "
-            f"{', '.join(BACKEND_NAMES)}") from None
-    if cls is PortfolioBackend:
-        return cls(network, problem, card_encoding=card_encoding,
-                   reference=reference, jobs=jobs,
-                   solver_opts=solver_opts)
-    if issubclass(cls, IncrementalBackend):
-        return cls(network, problem, card_encoding=card_encoding,
-                   reference=reference, cache=cache,
-                   solver_opts=solver_opts)
-    return cls(network, problem, card_encoding=card_encoding,
-               reference=reference, solver_opts=solver_opts)
+    """Instantiate a backend by name (``fresh`` | ``assumption``)."""
+    if check_backend(name) == "fresh":
+        return FreshBackend(network, problem, card_encoding=card_encoding,
+                            reference=reference)
+    return AssumptionBackend(network, problem, card_encoding=card_encoding,
+                             reference=reference, cache=cache)

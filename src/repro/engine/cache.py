@@ -2,7 +2,7 @@
 
 Budget sweeps ask many queries whose encodings differ only in the
 cardinality constraint.  The cache maps an :class:`EncodingKey` —
-(network fingerprint, problem fingerprint, property, r, link modeling,
+(network fingerprint, problem fingerprint, property, link modeling,
 cardinality encoding) — to a live
 :class:`~repro.core.incremental.IncrementalContext` holding the
 budget-independent encoding, so budget-only queries never re-encode the
@@ -26,16 +26,14 @@ __all__ = ["EncodingKey", "EncodingCache"]
 class EncodingKey(NamedTuple):
     """What uniquely determines a budget-independent base encoding.
 
-    The assumption backend stores ``-1`` in the ``r`` slot: its
-    contexts gate the bad-data redundancy parameter per query with an
-    assumption literal, so one encoding serves every ``r`` and the key
-    must not split on it.
+    There is no ``r`` slot: contexts gate the bad-data redundancy
+    parameter per query with an assumption literal, so one encoding
+    serves every ``r``.
     """
 
     network_fingerprint: str
     problem_fingerprint: str
     prop: Property
-    r: int
     model_links: bool
     card_encoding: str
 
@@ -115,7 +113,7 @@ class EncodingCache:
         exception escaped mid-query.  A clean resource-limit outcome
         (UNKNOWN verdict, :exc:`~repro.sat.ResourceLimitReached`) does
         not poison a context and must not evict it: the solver unwinds
-        its scopes on the way out and the cached base encoding — often
+        cleanly on the way out and the cached base encoding — often
         seconds of encoding work — stays reusable.
         """
         with self._lock:
@@ -128,8 +126,8 @@ class EncodingCache:
         The service's session layer calls this when a session is
         explicitly invalidated (the operator knows the underlying grid
         changed): all warm contexts keyed on the configuration's
-        fingerprints are released at once, whatever their property,
-        ``r``, or cardinality encoding.  Returns the number of entries
+        fingerprints are released at once, whatever their property or
+        cardinality encoding.  Returns the number of entries
         dropped.
         """
         with self._lock:

@@ -6,13 +6,10 @@ enumeration, hardening, the audit report — programs against.  It owns
 
 * the lint gate (run once per configuration, not per query),
 * a shared :class:`~repro.core.reference.ReferenceEvaluator`,
-* a pluggable backend (``fresh`` | ``incremental`` | ``assumption`` |
-  ``preprocessed``),
-* the encoding cache feeding the incremental backend, and
-* the default parallelism for sweep executors spawned on its behalf.
-
-Future scaling work (batching, sharding, portfolio solving) plugs in
-here as new backends without touching any consumer.
+* one of two backends — ``fresh`` (a new solver per query: the
+  one-shot default and the independent oracle) or ``assumption`` (warm
+  cached contexts with assumption-selected budgets), and
+* the encoding cache feeding the ``assumption`` backend.
 """
 
 from __future__ import annotations
@@ -47,18 +44,11 @@ class VerificationEngine:
                  backend: str = "fresh",
                  card_encoding: str = "totalizer",
                  lint: bool = True,
-                 jobs: int = 1,
                  cache: Optional[EncodingCache] = None,
-                 reference: Optional[ReferenceEvaluator] = None,
-                 solver_opts: Optional[Dict[str, object]] = None) -> None:
+                 reference: Optional[ReferenceEvaluator] = None) -> None:
         self.network = network
         self.problem = problem
         self.card_encoding = card_encoding
-        self.jobs = jobs
-        #: Forwarded to every SAT substrate any backend builds — e.g.
-        #: ``{"inprocess": False}`` for ``--no-inprocess``.  Fixed for
-        #: the engine's life and shared by with_backend siblings.
-        self.solver_opts = dict(solver_opts or {})
         if lint:
             # Imported lazily: repro.lint imports core modules at module
             # level, so a top-level import here would be circular.
@@ -71,8 +61,7 @@ class VerificationEngine:
         self.cache = cache if cache is not None else EncodingCache()
         self._backend: VerificationBackend = make_backend(
             backend, network, problem, card_encoding=card_encoding,
-            reference=self.reference, cache=self.cache, jobs=jobs,
-            solver_opts=self.solver_opts)
+            reference=self.reference, cache=self.cache)
         self._export_analyzer: Optional[ScadaAnalyzer] = None
         self._structural: Optional["StructuralAnalysis"] = None
         #: Lifetime solver-effort totals across every query this engine
@@ -95,7 +84,7 @@ class VerificationEngine:
 
         Forwarded to the active backend; the query in flight answers
         UNKNOWN with limit reason ``interrupt`` (never a spurious
-        verdict) and warm incremental/assumption contexts survive to
+        verdict) and warm assumption contexts survive to
         serve the next query.  Sticky until :meth:`clear_interrupt` —
         the service's job layer arms it when a client cancels or
         disconnects, and re-arms the engine once the cancelled job has
@@ -120,8 +109,7 @@ class VerificationEngine:
         return VerificationEngine(
             self.network, self.problem, backend=backend,
             card_encoding=self.card_encoding, lint=False,
-            jobs=self.jobs, cache=self.cache, reference=self.reference,
-            solver_opts=self.solver_opts)
+            cache=self.cache, reference=self.reference)
 
     @classmethod
     def wrap(cls, subject: Union["VerificationEngine", ScadaAnalyzer]
@@ -135,8 +123,7 @@ class VerificationEngine:
         """
         if isinstance(subject, cls):
             return subject
-        backend = "preprocessed" if subject.preprocess else "fresh"
-        return cls(subject.network, subject.problem, backend=backend,
+        return cls(subject.network, subject.problem, backend="fresh",
                    card_encoding=subject.card_encoding, lint=False,
                    reference=subject.reference)
 
@@ -151,9 +138,9 @@ class VerificationEngine:
         Semantics match :meth:`ScadaAnalyzer.verify
         <repro.core.analyzer.ScadaAnalyzer.verify>`; the result
         additionally records the producing backend and per-query solver
-        statistics.  ``certify=True`` on the incremental backend falls
-        back to a fresh solve (push/pop proofs are unsupported) and
-        notes that in ``details["certify_fallback"]``.  ``limits``
+        statistics.  ``certify=True`` on the assumption backend falls
+        back to a fresh solve (proofs need an assumption-free solve)
+        and notes that in ``details["certify_fallback"]``.  ``limits``
         bounds the solve; an expired budget yields an UNKNOWN result,
         never a spurious verdict.
         """
@@ -175,8 +162,8 @@ class VerificationEngine:
         """Fold one query's solver stats into the lifetime totals.
 
         Tier sizes are instantaneous snapshots, so they overwrite;
-        everything else (conflicts, propagations, inprocessing work,
-        check time) is a per-query delta and sums.
+        everything else (conflicts, propagations, check time) is a
+        per-query delta and sums.
         """
         totals = self.cumulative_stats
         totals["queries"] = totals.get("queries", 0.0) + 1.0
@@ -421,4 +408,4 @@ class VerificationEngine:
 
     def __repr__(self) -> str:
         return (f"VerificationEngine({self.network.name!r}, "
-                f"backend={self.backend_name!r}, jobs={self.jobs})")
+                f"backend={self.backend_name!r})")

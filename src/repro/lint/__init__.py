@@ -5,8 +5,7 @@ Two layers over one structured-diagnostic core:
 * :func:`lint_case` — polynomial-time configuration rules (``SCADA*``)
   over :class:`~repro.scada.network.ScadaNetwork` and
   :class:`~repro.core.problem.ObservabilityProblem`;
-* :func:`analyze_cnf` / :func:`preprocess_cnf` — encoding diagnostics
-  (``CNF*``) and a correctness-preserving simplifier for the
+* :func:`analyze_cnf` — encoding diagnostics (``CNF*``) for the
   Tseitin-emitted formulas.
 
 ``docs/FORMAL_MODEL.md`` documents every rule code with its formal
@@ -17,17 +16,14 @@ from .config_rules import lint_case
 from .diagnostics import RULES, Diagnostic, LintReport, Severity
 from .encoding import analyze_cnf
 from .flow import DisjointFlowResult, disjoint_delivery_flow
-from .preprocess import PreprocessResult, preprocess_cnf
 
 __all__ = [
     "Diagnostic",
     "DisjointFlowResult",
     "LintReport",
-    "PreprocessResult",
     "RULES",
     "Severity",
     "analyze_cnf",
     "disjoint_delivery_flow",
     "lint_case",
-    "preprocess_cnf",
 ]

@@ -84,8 +84,9 @@ def analyze_cnf(cnf: CNF, frozen: Iterable[int] = (),
         report.append(Diagnostic(
             "CNF004", Severity.INFO,
             f"{total} non-frozen variables occur in a single polarity "
-            f"(e.g. {', '.join(map(str, shown))}); the preprocessor can "
-            f"satisfy their clauses outright",
-            hint="run with preprocess=True to eliminate them"))
+            f"(e.g. {', '.join(map(str, shown))}); pure-literal "
+            f"elimination would satisfy their clauses outright",
+            hint="usually one-sided Tseitin definitions; the solver "
+                 "assigns them without search"))
 
     return report

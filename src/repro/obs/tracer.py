@@ -371,17 +371,6 @@ class SolverProbe:
     def on_rescale(self) -> None:
         self._tracer.count("solver.activity_rescales")
 
-    def on_inprocess(self, subsumed: int, strengthened: int,
-                     vivified: int, conflicts: int) -> None:
-        tracer = self._tracer
-        tracer.count("solver.inprocess.rounds")
-        tracer.count("solver.inprocess.subsumed", subsumed)
-        tracer.count("solver.inprocess.strengthened", strengthened)
-        tracer.count("solver.inprocess.vivified", vivified)
-        tracer.event("solver.inprocess", subsumed=subsumed,
-                     strengthened=strengthened, vivified=vivified,
-                     conflicts=conflicts)
-
     def on_arena_compact(self, live: int, reclaimed: int) -> None:
         tracer = self._tracer
         tracer.count("solver.arena.compactions")

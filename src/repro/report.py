@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .analysis import (
     cheapest_threat,
@@ -69,8 +69,7 @@ def audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
                  include_attack_cost: bool = True,
                  backend: str = "fresh",
                  jobs: int = 1,
-                 limits: Optional[Limits] = None,
-                 solver_opts: Optional[Dict[str, object]] = None) -> str:
+                 limits: Optional[Limits] = None) -> str:
     """Produce a Markdown resiliency-audit report for one configuration.
 
     *limits* bounds every individual solve.  Sections degrade honestly
@@ -82,16 +81,14 @@ def audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
     with obs_span("report", backend=backend, jobs=jobs):
         return _audit_report(network, problem, threat_limit,
                              include_hardening, include_attack_cost,
-                             backend, jobs, limits, solver_opts)
+                             backend, jobs, limits)
 
 
 def _audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
                   threat_limit: int, include_hardening: bool,
                   include_attack_cost: bool, backend: str, jobs: int,
-                  limits: Optional[Limits],
-                  solver_opts: Optional[Dict[str, object]] = None) -> str:
-    engine = VerificationEngine(network, problem, backend=backend, jobs=jobs,
-                                solver_opts=solver_opts)
+                  limits: Optional[Limits]) -> str:
+    engine = VerificationEngine(network, problem, backend=backend)
     out = io.StringIO()
 
     out.write(f"# SCADA resiliency audit — {network.name}\n\n")

@@ -46,18 +46,11 @@ class SolverHooks(Protocol):
     # The hooks below were added with the clause-arena solver.  The
     # solver dispatches them through ``getattr`` so observer classes
     # written against the original four-method protocol keep working
-    # unchanged; implement them to see inprocessing and arena events.
-
-    def on_inprocess(self, subsumed: int, strengthened: int,
-                     vivified: int, conflicts: int) -> None:
-        """An inter-restart inprocessing round finished, having
-        *subsumed* / *strengthened* (self-subsuming resolution) /
-        *vivified* that many learned clauses, at *conflicts* total."""
+    # unchanged; implement them to see arena and tier events.
 
     def on_arena_compact(self, live: int, reclaimed: int) -> None:
         """The clause arena was compacted: *live* literal slots kept,
         *reclaimed* waste slots released."""
 
     def on_tiers(self, core: int, mid: int, local: int) -> None:
-        """Learned-clause tier sizes after a reduction or an
-        inprocessing round."""
+        """Learned-clause tier sizes after a clause-DB reduction."""

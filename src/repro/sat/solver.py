@@ -10,8 +10,6 @@ standard conflict-driven clause-learning architecture:
 * Luby-sequence restarts,
 * LBD-tiered learned-clause retention (core / mid / local) with
   per-tier database-reduction policies,
-* inter-restart inprocessing: learned-clause subsumption,
-  self-subsuming resolution, and bounded vivification,
 * solving under assumptions, with extraction of an unsatisfiable core
   over the assumption set (the ``analyzeFinal`` mechanism).
 
@@ -37,9 +35,8 @@ lists never need remapping.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from random import Random
 from time import monotonic
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .hooks import SolverHooks
 from .limits import LimitReason, Limits
@@ -64,6 +61,9 @@ _CORE_LBD = 2
 #: ... at or below this are *mid*: reduced gently; the rest are *local*.
 _MID_LBD = 6
 
+#: Luby restart unit in conflicts.
+_RESTART_BASE = 100
+
 
 class ClauseArena:
     """Flat int-array clause storage.
@@ -76,8 +76,7 @@ class ClauseArena:
     ``act`` carry the learned-clause glue and VSIDS-style activity.
 
     Dead clauses leave their literal slots behind as waste (tracked in
-    :attr:`wasted`, together with slots stranded by in-place
-    strengthening); :meth:`compact` rewrites the buffer keeping
+    :attr:`wasted`); :meth:`compact` rewrites the buffer keeping
     references stable, and dead references are recycled through a free
     list so the side arrays stay bounded too.
     """
@@ -125,14 +124,6 @@ class ClauseArena:
         self.flags[ref] |= self.DEAD
         self.free.append(ref)
 
-    def shrink(self, ref: int, new_lits: Sequence[int]) -> None:
-        """Replace *ref*'s literals in place with a shorter list."""
-        o = self.off[ref]
-        n = len(new_lits)
-        self.wasted += self.length[ref] - n
-        self.lits[o:o + n] = new_lits
-        self.length[ref] = n
-
     def clause_lits(self, ref: int) -> List[int]:
         """A copy of *ref*'s literals (cold paths only)."""
         o = self.off[ref]
@@ -146,7 +137,7 @@ class ClauseArena:
         return len(self.off) - len(self.free)
 
     def compact(self) -> int:
-        """Rewrite the literal buffer without the dead/stranded slots.
+        """Rewrite the literal buffer without the dead slots.
 
         References are stable — only offsets change — so no watch list,
         reason, or tier list needs updating.  Returns the number of
@@ -177,7 +168,6 @@ class SolverStats:
     __slots__ = (
         "conflicts", "decisions", "propagations", "restarts",
         "learned_clauses", "deleted_clauses", "max_decision_level",
-        "subsumed_clauses", "strengthened_clauses", "vivified_clauses",
         "arena_compactions",
     )
 
@@ -189,9 +179,6 @@ class SolverStats:
         self.learned_clauses = 0
         self.deleted_clauses = 0
         self.max_decision_level = 0
-        self.subsumed_clauses = 0
-        self.strengthened_clauses = 0
-        self.vivified_clauses = 0
         self.arena_compactions = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -234,35 +221,13 @@ def _luby(i: int) -> int:
 class SatSolver:
     """An incremental CDCL solver over DIMACS-style literals.
 
-    The keyword arguments exist for the portfolio engine's worker
-    diversification and the ``--no-inprocess`` CLI switch; the defaults
-    reproduce the canonical configuration exactly.
-
-    :param inprocess: run inter-restart inprocessing (subsumption,
-        self-subsuming resolution, bounded vivification).
-    :param seed: when set, perturbs initial variable activities with
-        tiny pseudo-random epsilons so tie-breaks (and hence search
-        trajectories) differ between portfolio workers.
-    :param phase_init: initial saved phase for fresh variables —
-        ``None`` (default: negative first, the historical behaviour),
-        ``True``/``False``, or ``"random"`` (requires *seed* for
-        reproducibility).
-    :param restart_base: Luby restart unit in conflicts.
-    :param var_decay: VSIDS decay factor (activities are bumped by a
-        geometrically growing increment ``1/var_decay`` per conflict).
-    :param interrupt_check: optional zero-argument callable polled at
-        the wall-clock cadence; returning ``True`` abandons the solve
-        with :data:`~repro.sat.limits.LimitReason.INTERRUPT`.  This is
-        how portfolio workers observe the cross-process cancel event.
+    One fixed configuration: fresh variables start at activity 0 with a
+    negative saved phase, VSIDS decays by 0.95 per conflict, and
+    restarts follow the Luby sequence in units of
+    :data:`_RESTART_BASE` conflicts.
     """
 
-    def __init__(self, inprocess: bool = True,
-                 seed: Optional[int] = None,
-                 phase_init: object = None,
-                 restart_base: int = 100,
-                 var_decay: float = 0.95,
-                 interrupt_check: Optional[Callable[[], bool]] = None,
-                 ) -> None:
+    def __init__(self) -> None:
         self.num_vars = 0
         # Indexed by internal literal: 1 true, 0 false, -1 unassigned.
         self._value: List[int] = [_UNDEF, _UNDEF]
@@ -287,7 +252,7 @@ class SatSolver:
         self._qhead = 0
 
         self._var_inc = 1.0
-        self._var_decay = 1.0 / var_decay
+        self._var_decay = 1.0 / 0.95
         self._cla_inc = 1.0
         self._cla_decay = 1.0 / 0.999
         self._order_heap: List[tuple] = []
@@ -298,25 +263,10 @@ class SatSolver:
         #: duplicate entries accumulated without bound).
         self._heap_act: List[float] = [-1.0]
 
-        self._restart_base = restart_base
-        self._inprocess_enabled = inprocess
-        #: Cumulative-conflict threshold for the next inprocessing
-        #: round, and the (growing) gap between rounds.
-        self._inprocess_next = 2000
-        self._inprocess_interval = 2000
-        #: Per-round vivification bounds: candidate clauses / extra
-        #: propagations spent probing them.
-        self._vivify_cap = 64
-        self._vivify_prop_budget = 20_000
         self._reduce_calls = 0
-
-        self._seed = seed
-        self._rng = Random(seed if seed is not None else 0)
-        self._phase_init = phase_init
 
         self._ok = True
         self._interrupted = False
-        self.interrupt_check = interrupt_check
         #: Why the last :meth:`solve` returned ``None`` (UNKNOWN);
         #: ``None`` after a decided (sat/unsat) answer.
         self.limit_reason: Optional[LimitReason] = None
@@ -344,23 +294,13 @@ class SatSolver:
         self._value.extend((_UNDEF, _UNDEF))
         self._level.append(0)
         self._reason.append(_NO_REASON)
-        if self._seed is not None:
-            activity = self._rng.random() * 1e-6
-        else:
-            activity = 0.0
-        self._activity.append(activity)
-        if self._phase_init == "random":
-            phase = self._rng.random() < 0.5
-        elif self._phase_init is None:
-            phase = False
-        else:
-            phase = bool(self._phase_init)
-        self._phase.append(phase)
+        self._activity.append(0.0)
+        self._phase.append(False)
         self._seen.append(0)
         self._watches.append([])
         self._watches.append([])
-        heappush(self._order_heap, (-activity, self.num_vars))
-        self._heap_act.append(activity)
+        heappush(self._order_heap, (0.0, self.num_vars))
+        self._heap_act.append(0.0)
         return self.num_vars
 
     def _ensure_vars(self, lits: Iterable[int]) -> None:
@@ -440,12 +380,6 @@ class SatSolver:
         o = arena.off[ref]
         self._watches[arena.lits[o]].append(ref)
         self._watches[arena.lits[o + 1]].append(ref)
-
-    def _detach(self, ref: int) -> None:
-        arena = self._arena
-        o = arena.off[ref]
-        self._watches[arena.lits[o]].remove(ref)
-        self._watches[arena.lits[o + 1]].remove(ref)
 
     # ------------------------------------------------------------------
     # Assignment and propagation
@@ -770,21 +704,6 @@ class SatSolver:
         return (len(self._tier_core), len(self._tier_mid),
                 len(self._tier_local))
 
-    def top_active_vars(self, n: int) -> List[int]:
-        """The *n* root-unassigned variables of highest VSIDS activity.
-
-        Used by the portfolio backend to pick cube-and-conquer split
-        variables after a conflict-limited probe: the hottest variables
-        are where the search is actually fighting, so branching the
-        cube on them partitions the hard part of the space.
-        """
-        value = self._value
-        ranked = sorted(
-            (v for v in range(1, self.num_vars + 1)
-             if value[v << 1] == _UNDEF),
-            key=lambda v: -self._activity[v])
-        return ranked[:n]
-
     def _reduce_db(self) -> None:
         """Per-tier retention: *core* (LBD ≤ 2) is never deleted;
         *local* halves by (LBD, activity) every call; *mid* sheds its
@@ -860,231 +779,6 @@ class SatSolver:
                     on_compact(live, reclaimed)
 
     # ------------------------------------------------------------------
-    # Inter-restart inprocessing
-    # ------------------------------------------------------------------
-
-    def _clear_root_reasons(self) -> None:
-        """Drop reason refs of root-level assignments.
-
-        Safe because conflict analysis, minimization, and final-core
-        extraction all skip level-0 variables before dereferencing
-        their reasons; afterwards no learned clause is locked, so the
-        whole learned database is fair game for inprocessing.
-        """
-        reason = self._reason
-        for ilit in self._trail:
-            reason[ilit >> 1] = _NO_REASON
-
-    def _inprocess_round(self) -> None:
-        """Subsumption / self-subsuming resolution, then bounded
-        vivification, over the learned database.  Runs at decision
-        level 0 between restarts; every strengthened clause is RUP
-        against the database at that moment and is appended to the
-        proof log, so RUP replay stays valid.  May set ``_ok`` False
-        (inprocessing derived the empty clause)."""
-        before = self.stats.as_dict()
-        self._clear_root_reasons()
-        self._subsume_learned()
-        if self._ok:
-            self._vivify_learned()
-        arena = self._arena
-        dead = ClauseArena.DEAD
-        flags = arena.flags
-        self._tier_core = [r for r in self._tier_core
-                           if not flags[r] & dead]
-        self._tier_mid = [r for r in self._tier_mid
-                          if not flags[r] & dead]
-        self._tier_local = [r for r in self._tier_local
-                            if not flags[r] & dead]
-        self._maybe_compact()
-        hooks = self.hooks
-        if hooks is not None:
-            on_inprocess = getattr(hooks, "on_inprocess", None)
-            if on_inprocess is not None:
-                delta = self.stats.delta(before)
-                on_inprocess(delta["subsumed_clauses"],
-                             delta["strengthened_clauses"],
-                             delta["vivified_clauses"],
-                             self.stats.conflicts)
-            on_tiers = getattr(hooks, "on_tiers", None)
-            if on_tiers is not None:
-                on_tiers(*self.tier_sizes)
-
-    def _subsume_learned(self) -> None:
-        """Forward subsumption and self-subsuming resolution over the
-        learned tiers, via occurrence lists and variable signatures."""
-        arena = self._arena
-        flags = arena.flags
-        dead = ClauseArena.DEAD
-        refs = [r for tier in (self._tier_core, self._tier_mid,
-                               self._tier_local) for r in tier
-                if not flags[r] & dead]
-        if len(refs) < 2:
-            return
-        refs.sort(key=lambda r: arena.length[r])
-        lit_sets: Dict[int, set] = {}
-        sigs: Dict[int, int] = {}
-        occ: Dict[int, List[int]] = {}
-        for ref in refs:
-            lits = arena.clause_lits(ref)
-            lit_sets[ref] = set(lits)
-            sig = 0
-            for lit in lits:
-                sig |= 1 << ((lit >> 1) & 63)
-                occ.setdefault(lit, []).append(ref)
-            sigs[ref] = sig
-
-        for ref in refs:
-            if flags[ref] & dead:
-                continue
-            mine = lit_sets[ref]
-            sig = sigs[ref]
-            size = len(mine)
-            # Scan the occurrence list of the rarest literal.
-            best_lit = min(mine, key=lambda lit: len(occ.get(lit, ())))
-            for other in occ.get(best_lit, ()):
-                if other == ref or flags[other] & dead:
-                    continue
-                theirs = lit_sets[other]
-                if (len(theirs) < size or sig & ~sigs[other]
-                        or not mine <= theirs):
-                    continue
-                # `other` is subsumed: delete it (no proof entry
-                # needed; the RUP checker is monotone).
-                self._delete_learned(other)
-                self.stats.subsumed_clauses += 1
-            # Self-subsuming resolution: if this clause with one
-            # literal flipped is contained in another clause, that
-            # literal's negation can be removed from the other clause.
-            for lit in tuple(mine):
-                neg = lit ^ 1
-                rest = mine - {lit}
-                for other in occ.get(neg, ()):
-                    if other == ref or flags[other] & dead:
-                        continue
-                    theirs = lit_sets[other]
-                    if (neg not in theirs or len(theirs) < size
-                            or not rest <= theirs):
-                        continue
-                    new_lits = [q for q in arena.clause_lits(other)
-                                if q != neg]
-                    self.stats.strengthened_clauses += 1
-                    self._replace_clause(other, new_lits)
-                    if not self._ok:
-                        return
-                    if not flags[other] & dead:
-                        lit_sets[other] = set(new_lits)
-                        new_sig = 0
-                        for q in new_lits:
-                            new_sig |= 1 << ((q >> 1) & 63)
-                        sigs[other] = new_sig
-
-    def _vivify_learned(self) -> None:
-        """Bounded vivification: assert the negation of a clause's
-        literals one at a time; a conflict (or an implied literal)
-        proves a strictly shorter clause, which replaces it."""
-        arena = self._arena
-        flags = arena.flags
-        dead = ClauseArena.DEAD
-        value = self._value
-        candidates = [r for tier in (self._tier_mid, self._tier_local)
-                      for r in tier
-                      if not flags[r] & dead and arena.length[r] >= 3]
-        candidates.sort(key=lambda r: (arena.lbd[r], -arena.act[r]))
-        start_props = self.stats.propagations
-        for ref in candidates[:self._vivify_cap]:
-            if (self.stats.propagations - start_props
-                    > self._vivify_prop_budget):
-                break
-            if flags[ref] & dead:
-                continue
-            lits = arena.clause_lits(ref)
-            self._detach(ref)
-            new_lits: List[int] = []
-            for lit in lits:
-                val = value[lit]
-                if val == 1:
-                    # Implied true by the asserted prefix: the prefix
-                    # plus this literal subsumes the clause.
-                    new_lits.append(lit)
-                    break
-                if val == 0:
-                    # Implied false: the literal is redundant.
-                    continue
-                new_lits.append(lit)
-                self._trail_lim.append(len(self._trail))
-                self._enqueue(lit ^ 1, _NO_REASON)
-                if self._propagate() is not None:
-                    break
-            self._cancel_until(0)
-            if len(new_lits) < len(lits):
-                self.stats.vivified_clauses += 1
-                self._replace_clause(ref, new_lits)
-                if not self._ok:
-                    return
-            else:
-                self._attach(ref)
-
-    def _delete_learned(self, ref: int) -> None:
-        """Detach and free one learned clause (tier lists are filtered
-        at the end of the inprocessing round)."""
-        arena = self._arena
-        if self._proof_deleted is not None:
-            self._proof_deleted.append(
-                [from_internal(lit) for lit in arena.clause_lits(ref)])
-        self._detach(ref)
-        arena.free_clause(ref)
-        self.stats.deleted_clauses += 1
-
-    def _replace_clause(self, ref: int, new_lits: List[int]) -> None:
-        """Install a strengthened version of a *detached-or-about-to-be*
-        clause: drop root-falsified literals, log the result to the
-        proof, and re-attach / enqueue / conclude unsat as its new
-        length dictates.  Callers pass ``ref`` detached except when the
-        clause still sits in the watch lists (subsumption path), which
-        is detected via membership of its current watches."""
-        arena = self._arena
-        value = self._value
-        level = self._level
-        # The subsumption path calls with the clause still attached.
-        o = arena.off[ref]
-        if ref in self._watches[arena.lits[o]]:
-            self._detach(ref)
-        kept: List[int] = []
-        for lit in new_lits:
-            val = value[lit]
-            if val == 1 and level[lit >> 1] == 0:
-                # Satisfied at the root: the clause is redundant.
-                if self._proof_deleted is not None:
-                    self._proof_deleted.append(
-                        [from_internal(q)
-                         for q in arena.clause_lits(ref)])
-                arena.free_clause(ref)
-                self.stats.deleted_clauses += 1
-                return
-            if val == 0 and level[lit >> 1] == 0:
-                continue  # falsified at the root: drop
-            kept.append(lit)
-        if self._proof_learned is not None:
-            self._proof_learned.append(
-                [from_internal(lit) for lit in kept])
-        if not kept:
-            self._ok = False
-            arena.free_clause(ref)
-            return
-        if len(kept) == 1:
-            arena.free_clause(ref)
-            if not self._enqueue(kept[0], _NO_REASON):
-                self._ok = False
-                return
-            if self._propagate() is not None:
-                self._ok = False
-            return
-        arena.shrink(ref, kept)
-        arena.lbd[ref] = min(arena.lbd[ref], len(kept) - 1)
-        self._attach(ref)
-
-    # ------------------------------------------------------------------
     # Top-level search
     # ------------------------------------------------------------------
 
@@ -1135,12 +829,11 @@ class SatSolver:
             self._ok = False
             return False
 
-        restart_base = self._restart_base
         restart_idx = 0
         conflicts_this_solve = 0
         max_learnts = max(1000, len(self._clauses) // 3)
 
-        budget = _luby(restart_idx) * restart_base
+        budget = _luby(restart_idx) * _RESTART_BASE
         while True:
             if self._interrupted:
                 return self._abandon(LimitReason.INTERRUPT)
@@ -1155,9 +848,6 @@ class SatSolver:
                 if (memory_budget is not None
                         and self._estimate_memory_mb() > memory_budget):
                     return self._abandon(LimitReason.MEMORY)
-                if (self.interrupt_check is not None
-                        and self.interrupt_check()):
-                    return self._abandon(LimitReason.INTERRUPT)
             conflict = self._propagate()
             if conflict is not None:
                 self.stats.conflicts += 1
@@ -1196,20 +886,12 @@ class SatSolver:
                 budget -= 1
                 if budget <= 0:
                     restart_idx += 1
-                    budget = _luby(restart_idx) * restart_base
+                    budget = _luby(restart_idx) * _RESTART_BASE
                     self.stats.restarts += 1
                     if hooks is not None:
                         hooks.on_restart(self.stats.restarts,
                                          self.stats.conflicts)
                     self._cancel_until(0)
-                    if (self._inprocess_enabled
-                            and self.stats.conflicts >= self._inprocess_next):
-                        self._inprocess_round()
-                        self._inprocess_next = (self.stats.conflicts
-                                                + self._inprocess_interval)
-                        self._inprocess_interval += 2000
-                        if not self._ok:
-                            return False
                 if (len(self._tier_mid) + len(self._tier_local)
                         > max_learnts):
                     self._reduce_db()
@@ -1371,12 +1053,10 @@ class SatSolver:
 
         Must be called before any clause is added; the log can be
         validated with :func:`repro.sat.proof.check_unsat_proof` after an
-        assumption-free unsat answer.  Inprocessing stays proof-valid:
-        every strengthened (self-subsumed or vivified) clause is RUP
-        against the database at derivation time and is appended to the
-        learned stream; deletions are recorded separately (DRUP-style)
-        in :attr:`proof_deletions` but do not participate in checking,
-        because the additions-only checker is monotone.
+        assumption-free unsat answer.  Clause-DB deletions are recorded
+        separately (DRUP-style) in :attr:`proof_deletions` but do not
+        participate in checking, because the additions-only checker is
+        monotone.
         """
         if self._clauses_added:
             raise RuntimeError("enable_proof() before adding clauses")

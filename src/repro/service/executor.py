@@ -48,22 +48,18 @@ _R = TypeVar("_R")
 
 
 def max_search_task(
-    task: Tuple[str, str, str, str, Optional[Limits], bool, int],
+    task: Tuple[str, str, str, str, Optional[Limits], bool],
 ) -> SearchBounds:
     """Worker: one maximal-resiliency search on inline config text.
 
     Module-level and picklable; mirrors the CLI's path-based sweep task
     but parses the configuration from the request body the daemon
     received.  Lint already ran when the session was opened.
-    ``engine_jobs`` sizes the engine's own pool when the requested
-    backend (e.g. ``portfolio``) fans out further.
     """
-    (config_text, prop_value, kind, backend, limits, screen,
-     engine_jobs) = task
+    config_text, prop_value, kind, backend, limits, screen = task
     config = parse_config(config_text, strict=False)
     engine = VerificationEngine(config.network, config.problem,
-                                backend=backend, lint=False,
-                                jobs=engine_jobs)
+                                backend=backend, lint=False)
     prop = Property(prop_value)
     if kind == "total":
         return engine.max_total_resiliency_bounds(prop, limits=limits,
@@ -92,12 +88,7 @@ def sweep_max_searches(
     per-task timeouts).  Telemetry flows into whatever tracer is active
     on the *calling* thread, i.e. the job's.
     """
-    # A portfolio engine inside each of the three search processes
-    # spawns its own worker pool; splitting the grant three ways keeps
-    # the cold job's total process count at the operator's --jobs.
-    engine_jobs = max(1, jobs // 3) if backend == "portfolio" else 1
-    tasks = [(config_text, prop_value, kind, backend, limits, screen,
-              engine_jobs)
+    tasks = [(config_text, prop_value, kind, backend, limits, screen)
              for kind in ("total", "ied", "rtu")]
     total, ied, rtu = SweepExecutor(jobs=min(jobs, 3)).map(
         max_search_task, tasks, timeout=timeout, retries=1,

@@ -66,7 +66,6 @@ from typing import (
 )
 
 from ..core.specs import Property, ResiliencySpec
-from ..engine.backends import BACKEND_NAMES
 from ..obs.metrics import MetricsRegistry
 from ..stream import StreamError, StreamEvent
 from .executor import ExecutorBridge
@@ -83,6 +82,7 @@ from .jobs import (
 from .protocol import (
     JobKind,
     ServiceError,
+    backend_from_payload,
     limits_from_payload,
     limits_key,
     spec_from_payload,
@@ -406,10 +406,8 @@ class ReproService:
         if not isinstance(config_text, str) or not config_text.strip():
             raise ServiceError(400, "bad-request",
                                "provide 'config' (configuration text)")
-        backend = payload.get("backend")
-        if backend is not None and not isinstance(backend, str):
-            raise ServiceError(400, "bad-request",
-                               "'backend' must be a string")
+        backend = backend_from_payload(payload.get("backend"),
+                                       self.sessions.backend)
         lint = bool(payload.get("lint", True))
 
         # Parse + lint + engine construction can take seconds on a big
@@ -481,14 +479,9 @@ class ReproService:
             screen = bool(payload.get("screen", True))
             cold = bool(payload.get("cold", False))
             # The cold lane rebuilds engines in worker processes, so a
-            # job may request a different backend than the session's —
-            # e.g. "portfolio" to race each search probe across a pool.
-            job_backend = payload.get("backend") or session.backend
-            if job_backend not in BACKEND_NAMES:
-                raise ServiceError(
-                    400, "bad-request",
-                    f"unknown backend {job_backend!r}; expected one of "
-                    f"{', '.join(BACKEND_NAMES)}")
+            # job may request a different backend than the session's.
+            job_backend = backend_from_payload(payload.get("backend"),
+                                               session.backend)
             if not cold and job_backend != session.backend:
                 raise ServiceError(
                     400, "bad-request",
@@ -627,7 +620,8 @@ class ReproService:
                                    "'session' must be a string id")
             session = self.sessions.get(session_id)
             config = session.config
-            backend = payload.get("backend") or session.backend
+            backend = backend_from_payload(payload.get("backend"),
+                                           session.backend)
             attached = session.session_id
         else:
             config_text = payload.get("config")
@@ -637,15 +631,11 @@ class ReproService:
                     400, "bad-request",
                     "provide 'config' (configuration text) or "
                     "'session' (a warm session id)")
+            backend = backend_from_payload(payload.get("backend"),
+                                           self.sessions.backend)
             config = await self.bridge.run(self.sessions.parse,
                                            config_text)
-            backend = payload.get("backend") or self.sessions.backend
             attached = None
-        if backend not in BACKEND_NAMES:
-            raise ServiceError(
-                400, "bad-request",
-                f"unknown backend {backend!r}; expected one of "
-                f"{', '.join(BACKEND_NAMES)}")
         floors = self._watch_floors(payload, config.spec)
         policy = self.jobs.policy_for(tenant)
         limits = policy.effective_limits(

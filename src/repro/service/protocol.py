@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..core.results import Status, ThreatVector, VerificationResult
 from ..core.search import SearchBounds
 from ..core.specs import Property, ResiliencySpec
+from ..engine.backends import check_backend
 from ..sat.limits import Limits
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "JobKind",
     "JobState",
     "ServiceError",
+    "backend_from_payload",
     "bounds_payload",
     "cancelled_payload",
     "limits_from_payload",
@@ -129,6 +131,22 @@ def spec_from_payload(payload: Mapping[str, Any]) -> ResiliencySpec:
             link_k=link_k)
     except ValueError as exc:
         raise ServiceError(400, "bad-spec", str(exc)) from None
+
+
+def backend_from_payload(value: Any, default: str) -> str:
+    """The backend a request names (*default* when absent).
+
+    Raises :class:`ServiceError` (400) for a non-string or unknown
+    name before any parse, lint or engine work is spent on the request.
+    """
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise ServiceError(400, "bad-request", "'backend' must be a string")
+    try:
+        return check_backend(value)
+    except ValueError as exc:
+        raise ServiceError(400, "bad-request", str(exc)) from None
 
 
 def limits_from_payload(

@@ -62,7 +62,7 @@ class Session:
     def describe(self) -> Dict[str, Any]:
         # Lifetime solver-effort totals for this session's engine —
         # how the warm state earned its keep.  Tier keys are last-seen
-        # gauges; inprocessing counters show DB maintenance work.
+        # gauges.
         solver = {
             key: (round(value, 4) if key == "check_time"
                   else int(value))

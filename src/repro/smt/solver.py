@@ -11,9 +11,8 @@ from __future__ import annotations
 import contextlib
 import enum
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..sat.cnf import CNF
 from ..sat.hooks import SolverHooks
 from ..sat.limits import LimitReason, Limits
 from ..sat.solver import SatSolver
@@ -25,13 +24,9 @@ __all__ = ["Result", "Model", "Solver", "SolverStatistics",
 
 #: Per-check search-effort counters mirrored from the SAT substrate.
 #: ``learned_clauses``/``deleted_clauses`` let incremental callers
-#: report how much of the clause database each query retained; the
-#: inprocessing counters attribute subsumption / self-subsuming
-#: resolution / vivification work to individual queries.
+#: report how much of the clause database each query retained.
 _SEARCH_FIELDS = ("conflicts", "decisions", "propagations", "restarts",
-                  "learned_clauses", "deleted_clauses",
-                  "subsumed_clauses", "strengthened_clauses",
-                  "vivified_clauses")
+                  "learned_clauses", "deleted_clauses")
 
 
 class Result(enum.Enum):
@@ -86,13 +81,6 @@ class SolverStatistics:
         self.restarts = 0
         self.learned_clauses = 0
         self.deleted_clauses = 0
-        self.subsumed_clauses = 0
-        self.strengthened_clauses = 0
-        self.vivified_clauses = 0
-        # Populated only when the facade runs with preprocess=True.
-        self.simplified_vars = 0
-        self.simplified_clauses = 0
-        self.preprocess_time = 0.0
 
     def as_dict(self) -> Dict[str, float]:
         return dict(self.__dict__)
@@ -174,8 +162,8 @@ class BudgetHandle:
         op = "le" if at_most else "ge"
         var = BoolVar(f"__budget[{self.name}]::{op}{k}")
         sel = encoder.literal(var)
-        self._solver._sink.add_clause([-sel, gate])
-        self._solver._sink.add_clause([sel, -gate])
+        self._solver._sat.add_clause([-sel, gate])
+        self._solver._sat.add_clause([sel, -gate])
         return var
 
 
@@ -193,49 +181,16 @@ class Solver:
     """
 
     def __init__(self, card_encoding: str = "totalizer",
-                 produce_proof: bool = False,
-                 preprocess: bool = False,
-                 solver_opts: Optional[Dict[str, object]] = None) -> None:
-        self._produce_proof = produce_proof
-        self._preprocess = preprocess
-        self._cnf: Optional[CNF] = None
-        self._sat: Optional[SatSolver] = None
-        #: Keyword arguments forwarded to every :class:`SatSolver` this
-        #: facade constructs (``inprocess``, diversification ``seed`` /
-        #: ``phase_init`` / ``restart_base``, ``interrupt_check``).
-        #: The ``cube`` key is peeled off here: a list of DIMACS
-        #: literals appended to every check's assumptions, which is how
-        #: portfolio cube-and-conquer workers restrict their subspace.
-        opts = dict(solver_opts or {})
-        self._cube_lits: List[int] = [int(l) for l in opts.pop("cube", [])]
-        self._solver_opts = opts
-        if preprocess:
-            # Buffer the encoding in a CNF so each check can run the
-            # simplifier over the full current formula first.
-            self._cnf = CNF()
-            sink = self._cnf
-        else:
-            self._sat = SatSolver(**self._solver_opts)
-            if produce_proof:
-                self._sat.enable_proof()
-            sink = self._sat
-        self._sink = sink
-        self._encoder = Encoder(sink, card_encoding=card_encoding)
+                 produce_proof: bool = False) -> None:
+        self._sat = SatSolver()
+        if produce_proof:
+            self._sat.enable_proof()
+        self._encoder = Encoder(self._sat, card_encoding=card_encoding)
         self._selectors: List[int] = []
         self._budget_handles: Dict[str, BudgetHandle] = {}
         self._assertions: List[List[Term]] = [[]]
         self._model: Optional[Model] = None
         self._core_terms: List[Term] = []
-        self._last_unsat_proof: Optional[tuple] = None
-        #: With ``preprocess=True`` the solving :class:`SatSolver` is a
-        #: per-check throwaway; a reference is kept here so a
-        #: cooperative :meth:`interrupt` from another thread reaches
-        #: the search actually running.
-        self._active_sat: Optional[SatSolver] = None
-        self._interrupt_requested = False
-        #: Event observer forwarded to the underlying CDCL search (and
-        #: to each per-check throwaway solver when preprocessing).
-        self._hooks: Optional[SolverHooks] = None
         #: Why the last :meth:`check` answered UNKNOWN (``None`` after
         #: a decided answer).
         self.last_limit_reason: Optional[LimitReason] = None
@@ -256,13 +211,13 @@ class Solver:
             self._assertions[-1].append(term)
             if self._selectors:
                 lit = self._encoder.literal(term)
-                self._sink.add_clause([-self._selectors[-1], lit])
+                self._sat.add_clause([-self._selectors[-1], lit])
             else:
                 self._encoder.assert_term(term)
 
     def push(self) -> None:
         """Open a new assertion scope."""
-        self._selectors.append(self._sink.new_var())
+        self._selectors.append(self._sat.new_var())
         self._assertions.append([])
 
     def pop(self) -> None:
@@ -272,7 +227,7 @@ class Solver:
         selector = self._selectors.pop()
         self._assertions.pop()
         # Permanently disable the scope's clauses.
-        self._sink.add_clause([-selector])
+        self._sat.add_clause([-selector])
 
     @property
     def scope_depth(self) -> int:
@@ -337,45 +292,19 @@ class Solver:
         :attr:`last_limit_reason` ``INTERRUPT``.  Sticky until
         :meth:`clear_interrupt`.
         """
-        self._interrupt_requested = True
-        if self._sat is not None:
-            self._sat.interrupt()
-        elif self._active_sat is not None:
-            self._active_sat.interrupt()
+        self._sat.interrupt()
 
     def clear_interrupt(self) -> None:
         """Re-arm the solver after an :meth:`interrupt`."""
-        self._interrupt_requested = False
-        if self._sat is not None:
-            self._sat.clear_interrupt()
-        if self._active_sat is not None:
-            self._active_sat.clear_interrupt()
+        self._sat.clear_interrupt()
 
     def set_hooks(self, hooks: Optional[SolverHooks]) -> None:
         """Install (or clear, with ``None``) a solver event observer.
 
-        Forwarded to the persistent CDCL engine immediately and to
-        every per-check throwaway solver in preprocessing mode.  The
-        disabled state costs the search one attribute check (see
+        The disabled state costs the search one attribute check (see
         :mod:`repro.sat.hooks`).
         """
-        self._hooks = hooks
-        if self._sat is not None:
-            self._sat.hooks = hooks
-
-    def top_activity_vars(self, n: int) -> List[int]:
-        """The hottest *n* internal SAT variables by VSIDS activity.
-
-        Harvested by the portfolio backend after a conflict-limited
-        probe solve to choose cube-and-conquer split variables.  The
-        Tseitin emission is deterministic for a fixed encoder
-        configuration, so these variable indices are meaningful in any
-        sibling solver built from the same assertions.  Empty in
-        preprocessing mode (the per-check solver is already gone).
-        """
-        if self._sat is None:
-            return []
-        return self._sat.top_active_vars(n)
+        self._sat.hooks = hooks
 
     def check(self, *assumptions: Term,
               max_conflicts: Optional[int] = None,
@@ -393,21 +322,12 @@ class Solver:
         if max_conflicts is not None:
             effective = effective.merged(Limits(max_conflicts=max_conflicts))
         assumption_lits: List[int] = list(self._selectors)
-        # Cube literals are solver-level assumptions with no term
-        # mapping: they restrict the search subspace but never appear
-        # in reported cores (the portfolio layer owns their semantics).
-        assumption_lits.extend(self._cube_lits)
         lit_to_term: Dict[int, Term] = {}
         for term in assumptions:
             lit = self._encoder.literal(term)
             assumption_lits.append(lit)
             lit_to_term[lit] = term
 
-        if self._preprocess:
-            return self._check_preprocessed(assumption_lits, lit_to_term,
-                                            effective)
-
-        assert self._sat is not None
         started = time.perf_counter()
         before = self._sat.stats.as_dict()
         outcome = self._sat.solve(assumptions=assumption_lits,
@@ -440,96 +360,6 @@ class Solver:
         ]
         return Result.UNSAT
 
-    def _check_preprocessed(self, assumption_lits: List[int],
-                            lit_to_term: Dict[int, Term],
-                            limits: Limits) -> Result:
-        """Simplify the buffered formula, then solve it fresh.
-
-        Frozen variables — every named model variable, scope selector,
-        assumption variable, and the constant-true literal — survive
-        simplification with their numbering intact, so models, cores,
-        and incremental blocking clauses keep working.  The wall-clock
-        budget covers the *whole* check: simplification time is
-        deducted from what the sub-solve may spend.
-        """
-        from ..lint.preprocess import preprocess_cnf
-
-        assert self._cnf is not None
-        self._last_unsat_proof = None
-        frozen: Set[int] = set(self._encoder.var_names.values())
-        frozen.update(abs(lit) for lit in assumption_lits)
-        true_lit = getattr(self._encoder, "_true_lit", None)
-        if true_lit is not None:
-            frozen.add(abs(true_lit))
-
-        started = time.perf_counter()
-        result = preprocess_cnf(self._cnf, frozen=frozen)
-        preprocess_elapsed = time.perf_counter() - started
-        self.statistics.preprocess_time += preprocess_elapsed
-        if limits.max_time is not None:
-            remaining = limits.max_time - preprocess_elapsed
-            if remaining <= 0:
-                self.statistics.checks += 1
-                self.last_check_stats = {f: 0.0 for f in _SEARCH_FIELDS}
-                self.last_check_stats["check_time"] = 0.0
-                self.last_limit_reason = LimitReason.TIME
-                return Result.UNKNOWN
-            limits = limits.with_time(remaining)
-        self.statistics.num_vars = self._cnf.num_vars
-        self.statistics.num_clauses = len(self._cnf.clauses)
-        self.statistics.simplified_vars = (
-            self._cnf.num_vars - result.stats["eliminated_vars"])
-        self.statistics.simplified_clauses = len(result.cnf.clauses)
-
-        if result.unsat:
-            self.statistics.checks += 1
-            self.last_check_stats = {f: 0.0 for f in _SEARCH_FIELDS}
-            self.last_check_stats["check_time"] = 0.0
-            self._last_unsat_proof = (list(self._cnf.clauses),
-                                      list(result.proof_additions),
-                                      self._cnf.num_vars)
-            return Result.UNSAT
-
-        sub = SatSolver(**self._solver_opts)
-        sub.hooks = self._hooks
-        if self._produce_proof:
-            sub.enable_proof()
-        for clause in result.cnf.clauses:
-            if not sub.add_clause(clause):
-                break  # level-0 conflict; solve() will report unsat
-
-        self._active_sat = sub
-        if self._interrupt_requested:
-            sub.interrupt()
-        started = time.perf_counter()
-        outcome = sub.solve(assumptions=assumption_lits, limits=limits)
-        after = sub.stats.as_dict()
-        elapsed = time.perf_counter() - started
-        self.statistics.check_time += elapsed
-        self.statistics.checks += 1
-        for field in _SEARCH_FIELDS:
-            self.statistics.__dict__[field] += after[field]
-        self.last_check_stats = {f: float(after[f]) for f in _SEARCH_FIELDS}
-        self.last_check_stats["check_time"] = elapsed
-
-        if outcome is None:
-            self.last_limit_reason = sub.limit_reason
-            return Result.UNKNOWN
-        if outcome:
-            extended = result.extend_model(list(sub.model))
-            self._model = Model(self._encoder, extended)
-            return Result.SAT
-        self._core_terms = [
-            lit_to_term[lit] for lit in sub.core() if lit in lit_to_term
-        ]
-        if self._produce_proof and sub.proof is not None:
-            _, learned = sub.proof
-            self._last_unsat_proof = (
-                list(self._cnf.clauses),
-                list(result.proof_additions) + [list(c) for c in learned],
-                self._cnf.num_vars)
-        return Result.UNSAT
-
     def model(self) -> Model:
         """The model from the last sat check."""
         if self._model is None:
@@ -547,52 +377,24 @@ class Solver:
         return BoolVar(name)
 
     @property
-    def cnf(self) -> Optional[CNF]:
-        """The buffered encoding (present only with ``preprocess=True``)."""
-        return self._cnf
-
-    def named_variables(self) -> Dict[str, int]:
-        """Variable name → CNF variable for every declared Boolean."""
-        return dict(self._encoder.var_names)
-
-    @property
     def num_vars(self) -> int:
-        return self._sink.num_vars
+        return self._sat.num_vars
 
     @property
     def num_clauses(self) -> int:
         """Encoded clause count (before level-0 simplification)."""
-        if self._cnf is not None:
-            return len(self._cnf.clauses)
-        assert self._sat is not None
         return self._sat.num_clauses_added
 
     def validate_unsat_proof(self) -> bool:
         """Re-check the last unsat answer with the independent RUP
         checker.  Only valid after an assumption-free UNSAT from a
         solver constructed with ``produce_proof=True``.
-
-        With ``preprocess=True`` the proof covers the whole pipeline:
-        the simplifier's additions (each RUP against the original
-        encoding) followed by the sub-solver's learned clauses (RUP by
-        monotonicity, since the simplified database is contained in the
-        original clauses plus the additions).
         """
         from ..sat.proof import check_unsat_proof
 
         if self._selectors:
             raise RuntimeError("proof validation is not supported with "
                                "open push/pop scopes")
-        if self._preprocess:
-            if not self._produce_proof:
-                raise RuntimeError("solver was not constructed with "
-                                   "produce_proof=True")
-            if self._last_unsat_proof is None:
-                raise RuntimeError("no unsat answer to validate")
-            originals, additions, num_vars = self._last_unsat_proof
-            return check_unsat_proof(originals, additions,
-                                     num_vars=num_vars)
-        assert self._sat is not None
         proof = self._sat.proof
         if proof is None:
             raise RuntimeError("solver was not constructed with "

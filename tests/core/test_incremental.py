@@ -1,16 +1,16 @@
-"""Incremental analyzer: verdict parity with the fresh-encoding one."""
+"""Incremental context: verdict parity with the fresh-encoding analyzer."""
 
 import pytest
 
 from repro.core import (
-    FailureBudget,
+    IncrementalContext,
     ObservabilityProblem,
     Property,
     ResiliencySpec,
     ScadaAnalyzer,
     Status,
 )
-from repro.core.incremental import IncrementalAnalyzer
+from repro.engine import VerificationEngine
 from repro.grid import ieee14
 from repro.scada import GeneratorConfig, generate_scada
 
@@ -28,46 +28,43 @@ def system():
 def test_verdict_parity_total_budgets(system):
     network, problem = system
     fresh = ScadaAnalyzer(network, problem)
-    incremental = IncrementalAnalyzer(network, problem)
+    context = IncrementalContext(network, problem)
     for k in range(0, 5):
-        budget = FailureBudget.total(k)
-        a = fresh.verify(ResiliencySpec.observability(k=k),
-                         minimize=False).status
-        b = incremental.verify_budget(budget, minimize=False).status
+        spec = ResiliencySpec.observability(k=k)
+        a = fresh.verify(spec, minimize=False).status
+        b = context.verify(spec, minimize=False).status
         assert a == b, k
 
 
 def test_verdict_parity_split_budgets(system):
     network, problem = system
     fresh = ScadaAnalyzer(network, problem)
-    incremental = IncrementalAnalyzer(network, problem)
+    context = IncrementalContext(network, problem)
     for k1, k2 in [(0, 0), (1, 0), (0, 1), (2, 1), (3, 2)]:
-        budget = FailureBudget.split(k1, k2)
-        a = fresh.verify(ResiliencySpec.observability(k1=k1, k2=k2),
-                         minimize=False).status
-        b = incremental.verify_budget(budget, minimize=False).status
+        spec = ResiliencySpec.observability(k1=k1, k2=k2)
+        a = fresh.verify(spec, minimize=False).status
+        b = context.verify(spec, minimize=False).status
         assert a == b, (k1, k2)
 
 
 def test_secured_property(system):
     network, problem = system
-    incremental = IncrementalAnalyzer(
+    context = IncrementalContext(
         network, problem, prop=Property.SECURED_OBSERVABILITY)
     fresh = ScadaAnalyzer(network, problem)
     for k in (0, 1, 2):
-        a = fresh.verify(ResiliencySpec.secured_observability(k=k),
-                         minimize=False).status
-        b = incremental.verify_budget(FailureBudget.total(k),
-                                      minimize=False).status
+        spec = ResiliencySpec.secured_observability(k=k)
+        a = fresh.verify(spec, minimize=False).status
+        b = context.verify(spec, minimize=False).status
         assert a == b, k
 
 
 def test_threat_vectors_validate(system):
     network, problem = system
-    incremental = IncrementalAnalyzer(network, problem)
-    result = incremental.verify_budget(FailureBudget.total(4))
+    context = IncrementalContext(network, problem)
+    result = context.verify(ResiliencySpec.observability(k=4))
     if result.status is Status.THREAT_FOUND:
-        assert incremental.reference.is_threat(
+        assert context.reference.is_threat(
             result.spec, result.threat.failed_devices)
         assert result.threat.minimal
 
@@ -75,18 +72,16 @@ def test_threat_vectors_validate(system):
 def test_queries_are_independent(system):
     """A wide budget query must not leak into a later narrow one."""
     network, problem = system
-    incremental = IncrementalAnalyzer(network, problem)
-    wide = incremental.verify_budget(FailureBudget.total(6),
-                                     minimize=False)
-    narrow = incremental.verify_budget(FailureBudget.total(0),
-                                       minimize=False)
+    context = IncrementalContext(network, problem)
+    wide_spec = ResiliencySpec.observability(k=6)
+    narrow_spec = ResiliencySpec.observability(k=0)
+    wide = context.verify(wide_spec, minimize=False)
+    narrow = context.verify(narrow_spec, minimize=False)
     fresh = ScadaAnalyzer(network, problem)
-    expected = fresh.verify(ResiliencySpec.observability(k=0),
-                            minimize=False).status
+    expected = fresh.verify(narrow_spec, minimize=False).status
     assert narrow.status == expected
     # And re-asking the wide one still matches.
-    again = incremental.verify_budget(FailureBudget.total(6),
-                                      minimize=False)
+    again = context.verify(wide_spec, minimize=False)
     assert again.status == wide.status
 
 
@@ -94,16 +89,17 @@ def test_max_resiliency_matches_binary_search(system):
     from repro.analysis import max_total_resiliency
     network, problem = system
     fresh = ScadaAnalyzer(network, problem)
-    incremental = IncrementalAnalyzer(network, problem)
-    assert incremental.max_total_resiliency() == \
-        max_total_resiliency(fresh)
+    warm = VerificationEngine(network, problem, backend="assumption",
+                              lint=False)
+    assert warm.max_total_resiliency(screen=False) == \
+        max_total_resiliency(fresh, backend=None)
 
 
 def test_case_study_parity():
     from repro.cases import case_problem, fig3_network
     network, problem = fig3_network(), case_problem()
-    incremental = IncrementalAnalyzer(network, problem)
-    assert incremental.verify_budget(
-        FailureBudget.split(1, 1)).is_resilient
-    result = incremental.verify_budget(FailureBudget.split(2, 1))
+    context = IncrementalContext(network, problem)
+    assert context.verify(
+        ResiliencySpec.observability(k1=1, k2=1)).is_resilient
+    result = context.verify(ResiliencySpec.observability(k1=2, k2=1))
     assert result.status is Status.THREAT_FOUND

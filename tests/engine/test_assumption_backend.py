@@ -2,7 +2,7 @@
 
 ``tests/engine/test_backends.py`` already property-checks that the
 ``assumption`` backend is verdict- and threat-space-equivalent to the
-others (it iterates ``BACKEND_NAMES``).  These tests cover what is
+``fresh`` oracle.  These tests cover what is
 specific to assumption-selected budgets: bad-data detectability sweeps
 over the redundancy parameter ``r`` through one cached context, query
 isolation on the shared solver, and the engine plumbing around it.
@@ -36,21 +36,6 @@ def test_bad_data_r_sweep_matches_fresh(fig3_case):
             assert got == expected, (r, k)
     # All r values were served by a single cached encoding.
     assert len(assumption.cache) == 1
-
-
-def test_r_sweep_uses_one_context_incremental_uses_many(fig3_case):
-    network, problem = fig3_case
-    incremental = VerificationEngine(network, problem,
-                                     backend="incremental", lint=False)
-    assumption = VerificationEngine(network, problem,
-                                    backend="assumption", lint=False)
-    for r in (1, 2):
-        spec = ResiliencySpec.for_property(
-            Property.BAD_DATA_DETECTABILITY, r=r, k=1)
-        incremental.verify(spec, minimize=False)
-        assumption.verify(spec, minimize=False)
-    assert len(incremental.cache) == 2  # one context per r
-    assert len(assumption.cache) == 1   # r selected per query
 
 
 def test_interleaved_budgets_stay_isolated(fig3_case):

@@ -7,17 +7,17 @@ import pytest
 
 from repro.core import ObservabilityProblem, Property, ResiliencySpec
 from repro.engine import EncodingCache, EncodingKey
-from repro.engine.backends import IncrementalBackend
+from repro.engine.backends import AssumptionBackend
 from repro.grid.ieee_cases import case_by_buses
 from repro.sat import Limits, ResourceLimitReached
 from repro.scada import GeneratorConfig, generate_scada
 
 
-def _key(prop=Property.OBSERVABILITY, r=1, network_fp="n", problem_fp="p",
+def _key(prop=Property.OBSERVABILITY, network_fp="n", problem_fp="p",
          model_links=False, card="totalizer"):
     return EncodingKey(network_fingerprint=network_fp,
                        problem_fingerprint=problem_fp,
-                       prop=prop, r=r, model_links=model_links,
+                       prop=prop, model_links=model_links,
                        card_encoding=card)
 
 
@@ -43,14 +43,14 @@ def test_distinct_keys_distinct_entries():
     a = cache.get_or_create(_key(prop=Property.OBSERVABILITY), object)
     b = cache.get_or_create(_key(prop=Property.SECURED_OBSERVABILITY),
                             object)
-    c = cache.get_or_create(_key(r=2), object)
+    c = cache.get_or_create(_key(model_links=True), object)
     assert len({id(a), id(b), id(c)}) == 3
     assert len(cache) == 3
 
 
 def test_lru_eviction_drops_oldest():
     cache = EncodingCache(maxsize=2)
-    key_a, key_b, key_c = _key(r=1), _key(r=2), _key(r=3)
+    key_a, key_b, key_c = (_key(network_fp=name) for name in "abc")
     a = cache.get_or_create(key_a, object)
     cache.get_or_create(key_b, object)
     # Touch A so B becomes the least recently used entry.
@@ -68,7 +68,7 @@ def test_zero_size_cache_rejected():
 
 def test_invalidate_drops_single_entry():
     cache = EncodingCache()
-    key_a, key_b = _key(r=1), _key(r=2)
+    key_a, key_b = _key(network_fp="a"), _key(network_fp="b")
     cache.get_or_create(key_a, object)
     b = cache.get_or_create(key_b, object)
     assert cache.invalidate(key_a) is True
@@ -80,7 +80,7 @@ def test_invalidate_drops_single_entry():
 def _fig3_backend():
     from repro.cases import case_problem, fig3_network
 
-    return IncrementalBackend(fig3_network(), case_problem())
+    return AssumptionBackend(fig3_network(), case_problem())
 
 
 def test_backend_evicts_poisoned_context():

@@ -26,7 +26,7 @@ def test_results_carry_backend_and_stats(fig3_engine):
 
 def test_incremental_stats_are_per_query_deltas():
     network, problem = fig3_network(), case_problem()
-    engine = VerificationEngine(network, problem, backend="incremental")
+    engine = VerificationEngine(network, problem, backend="assumption")
     first = engine.verify(ResiliencySpec.observability(k=1),
                           minimize=False)
     second = engine.verify(ResiliencySpec.observability(k=1),
@@ -42,7 +42,7 @@ def test_incremental_stats_are_per_query_deltas():
 
 def test_incremental_reuses_cached_encoding():
     engine = VerificationEngine(fig3_network(), case_problem(),
-                                backend="incremental")
+                                backend="assumption")
     for k in range(3):
         engine.verify(ResiliencySpec.observability(k=k), minimize=False)
     engine.verify(ResiliencySpec.secured_observability(k=1),
@@ -73,16 +73,16 @@ def test_wrap_passes_engine_through_and_adapts_analyzer():
     engine = VerificationEngine(network, problem)
     assert VerificationEngine.wrap(engine) is engine
 
-    analyzer = ScadaAnalyzer(network, problem, preprocess=True)
+    analyzer = ScadaAnalyzer(network, problem)
     wrapped = VerificationEngine.wrap(analyzer)
-    assert wrapped.backend_name == "preprocessed"
+    assert wrapped.backend_name == "fresh"
     assert wrapped.reference is analyzer.reference
 
 
 def test_exports_available_on_every_backend():
     network, problem = fig3_network(), case_problem()
     spec = ResiliencySpec.observability(k=1)
-    for backend in ("fresh", "incremental"):
+    for backend in ("fresh", "assumption"):
         engine = VerificationEngine(network, problem, backend=backend)
         size = engine.model_size(spec)
         assert size["vars"] > 0 and size["clauses"] > 0

@@ -217,11 +217,12 @@ def _point_key(point):
             len(point.sat_times), len(point.unsat_times))
 
 
-@pytest.mark.parametrize("backend", ["fresh", "incremental"])
+@pytest.mark.parametrize("backend", ["fresh", "assumption"])
 def test_sweep_deterministic_across_jobs(backend):
     kwargs = dict(seeds=(0, 1), runs=1, backend=backend)
     serial = sweep_bus_sizes([14], jobs=1, **kwargs)
     parallel = sweep_bus_sizes([14], jobs=4, **kwargs)
+    assert not serial.failures and not parallel.failures
     assert [_point_key(p) for p in serial.points] == \
         [_point_key(p) for p in parallel.points]
 

@@ -131,11 +131,3 @@ def test_verify_no_lint_overrides(bad_cfg, capsys):
     code = main(["verify", bad_cfg, "--k", "1", "--no-lint"])
     capsys.readouterr()
     assert code in (0, 1)
-
-
-def test_verify_preprocess_matches_plain(good_cfg, capsys):
-    plain = main(["verify", good_cfg, "--k", "1"])
-    capsys.readouterr()
-    pre = main(["verify", good_cfg, "--k", "1", "--preprocess"])
-    capsys.readouterr()
-    assert plain == pre

@@ -10,8 +10,6 @@ from repro.core import (
     Status,
 )
 from repro.scada import Device, DeviceType, Link, ScadaNetwork
-from repro.smt.solver import Result, Solver
-from repro.smt.terms import BoolVar, Not, Or
 
 
 def _bad_network():
@@ -39,77 +37,3 @@ def test_analyzer_lint_false_overrides():
     analyzer = ScadaAnalyzer(_bad_network(), _problem(), lint=False)
     result = analyzer.verify(ResiliencySpec.observability(k=1))
     assert result.status in (Status.RESILIENT, Status.THREAT_FOUND)
-
-
-def test_analyzer_preprocess_matches_baseline(tiny_network, tiny_problem):
-    for spec in (ResiliencySpec.observability(k=1),
-                 ResiliencySpec.secured_observability(k=1)):
-        base = ScadaAnalyzer(tiny_network, tiny_problem,
-                             lint=False).verify(spec)
-        pre = ScadaAnalyzer(tiny_network, tiny_problem, lint=False,
-                            preprocess=True).verify(spec)
-        assert base.status == pre.status
-
-
-def test_preprocess_enumeration_matches(tiny_network, tiny_problem):
-    spec = ResiliencySpec.observability(k=2)
-    base = ScadaAnalyzer(tiny_network, tiny_problem, lint=False)
-    pre = ScadaAnalyzer(tiny_network, tiny_problem, lint=False,
-                        preprocess=True)
-    vectors = lambda a: {t.failed_devices
-                         for t in a.enumerate_threat_vectors(spec)}
-    assert vectors(base) == vectors(pre)
-
-
-def test_preprocess_certified_proof(tiny_network, tiny_problem):
-    analyzer = ScadaAnalyzer(tiny_network, tiny_problem, lint=False,
-                             preprocess=True)
-    result = analyzer.verify(ResiliencySpec.observability(k=0),
-                             certify=True)
-    if result.status is Status.RESILIENT:
-        assert result.details["proof_checked"] is True
-
-
-def test_solver_facade_preprocess_sat_and_model():
-    solver = Solver(preprocess=True)
-    a, b, c = BoolVar("a"), BoolVar("b"), BoolVar("c")
-    solver.add(Or(a, b))
-    solver.add(Or(Not(a), c))
-    assert solver.check() is Result.SAT
-    model = solver.model()
-    assert (model.value(a) or model.value(b))
-    assert (not model.value(a)) or model.value(c)
-
-
-def test_solver_facade_preprocess_unsat_core():
-    solver = Solver(preprocess=True)
-    a, b = BoolVar("a"), BoolVar("b")
-    solver.add(Or(a, b))
-    solver.add(Not(b))
-    assert solver.check(Not(a)) is Result.UNSAT
-    core = solver.unsat_core()
-    assert core  # the Not(a) assumption must appear
-    assert solver.check(a) is Result.SAT
-
-
-def test_solver_facade_preprocess_statistics():
-    solver = Solver(preprocess=True)
-    a, b = BoolVar("a"), BoolVar("b")
-    solver.add(Or(a, b))
-    solver.check()
-    stats = solver.statistics.as_dict()
-    assert stats["checks"] == 1
-    assert "simplified_clauses" in stats
-    assert stats["preprocess_time"] >= 0.0
-
-
-def test_solver_facade_preprocess_push_pop():
-    solver = Solver(preprocess=True)
-    a = BoolVar("a")
-    solver.add(a)
-    solver.push()
-    solver.add(Not(a))
-    assert solver.check() is Result.UNSAT
-    solver.pop()
-    assert solver.check() is Result.SAT
-    assert solver.model().value(a)

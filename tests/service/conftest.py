@@ -11,13 +11,18 @@ import threading
 
 import pytest
 
-from repro.cases import case_problem, fig3_network
+from repro.cases import case_problem, fig3_network, fig4_network
 from repro.scada.config_io import CaseConfig, dump_config
 from repro.service import ReproService, ServiceClient
 
 
 def fig3_config_text() -> str:
     return dump_config(CaseConfig(network=fig3_network(),
+                                  problem=case_problem(), spec=None))
+
+
+def fig4_config_text() -> str:
+    return dump_config(CaseConfig(network=fig4_network(),
                                   problem=case_problem(), spec=None))
 
 

@@ -19,7 +19,6 @@ from repro.obs.schema import validate_record, validate_trace
 from repro.obs.stats import aggregate
 from repro.service import ServiceClientError
 
-from .conftest import fig3_config_text
 
 
 def _counters(client):
@@ -257,7 +256,7 @@ def test_lru_session_eviction_over_http(running, fig3_text):
     # A second configuration (different backend → different
     # fingerprint) evicts the only slot.
     client.verify(config=fig3_text, spec={"k": 1}, wait=True,
-                  backend="incremental")
+                  backend="fresh")
     stats = client.sessions()["stats"]
     assert stats == {"open": 1, "created": 2, "reused": 0,
                      "evicted": 1, "invalidated": 0}
@@ -284,7 +283,7 @@ def test_warm_job_rejects_backend_override(service, fig3_text):
     client = service.client
     session_id = client.open_session(fig3_text)["session"]
     with pytest.raises(ServiceClientError) as err:
-        client.max_resiliency(session=session_id, backend="portfolio",
+        client.max_resiliency(session=session_id, backend="fresh",
                               wait=True)
     assert err.value.status == 400 and err.value.code == "bad-request"
     with pytest.raises(ServiceClientError) as err:
@@ -293,13 +292,32 @@ def test_warm_job_rejects_backend_override(service, fig3_text):
     assert err.value.status == 400
 
 
-def test_cold_max_resiliency_accepts_portfolio_backend(service,
-                                                       fig3_text):
+def test_cold_max_resiliency_accepts_backend_override(service,
+                                                      fig3_text):
     client = service.client
-    bounds = client.max_resiliency(config=fig3_text, backend="portfolio",
+    bounds = client.max_resiliency(config=fig3_text, backend="fresh",
                                    cold=True, wait=True)
     assert bounds["result"]["exit_code"] == 0
     assert bounds["result"]["total"]["exact"] is True
     reference = client.max_resiliency(config=fig3_text, wait=True)
     assert (bounds["result"]["total"]["lower"]
             == reference["result"]["total"]["lower"])
+
+
+@pytest.mark.parametrize("config", ["not a configuration", "lint-fails",
+                                    "fig3"])
+def test_open_session_rejects_unknown_backend_up_front(service, fig3_text,
+                                                       config):
+    """An unknown backend is a 400 naming the valid ones — before any
+    parse, lint or engine work (which used to answer 400 bad-config, or
+    422 lint-failed for a config that also fails lint)."""
+    texts = {"not a configuration": "not a configuration",
+             "lint-fails": fig3_text.replace("8: 8", "99: 8"),
+             "fig3": fig3_text}
+    client = service.client
+    with pytest.raises(ServiceClientError) as err:
+        client.request("POST", "/sessions", {"config": texts[config],
+                                             "backend": "quantum"})
+    assert err.value.status == 400 and err.value.code == "bad-request"
+    assert "fresh, assumption" in str(err.value)
+    assert client.sessions()["stats"]["created"] == 0

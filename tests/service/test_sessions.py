@@ -6,7 +6,7 @@ from repro.core import ResiliencySpec
 from repro.service.protocol import ServiceError
 from repro.service.sessions import SessionManager
 
-from .conftest import fig3_config_text
+from .conftest import fig3_config_text, fig4_config_text
 
 
 @pytest.fixture
@@ -40,10 +40,11 @@ def test_lru_eviction_drops_contexts_cleanly(manager):
     base.engine.verify(ResiliencySpec.observability(k=1),
                        minimize=False)
     assert len(base.engine.cache) >= 1
-    # Two more distinct sessions (different backends → different
-    # fingerprints) overflow maxsize=2 and evict the oldest.
-    manager.open(manager.parse(text), backend="incremental")
+    # Two more distinct sessions (a different backend, then a
+    # different topology → different fingerprints) overflow maxsize=2
+    # and evict the oldest.
     manager.open(manager.parse(text), backend="fresh")
+    manager.open(manager.parse(fig4_config_text()))
     assert manager.stats() == {"open": 2, "created": 3, "reused": 0,
                                "evicted": 1, "invalidated": 0}
     # The evicted session's warm contexts (live solvers) were released.
