@@ -33,6 +33,16 @@ def test_pigeonhole_proofs_check(holes):
     assert check_unsat_proof(originals, learned)
 
 
+def test_reduce_db_deletion_records_well_formed():
+    # PHP(8, 7) runs past the first clause-DB reduction.
+    solver = _pigeonhole_solver(7)
+    assert solver.solve() is False
+    deletions = solver.proof_deletions
+    assert deletions
+    assert all(isinstance(lit, int) and lit != 0
+               for clause in deletions for lit in clause)
+
+
 def test_trivial_unsat_proof():
     solver = SatSolver()
     solver.enable_proof()
