@@ -33,11 +33,14 @@ import pytest
 
 from repro.analysis import sweep_bus_sizes
 from repro.core import ObservabilityProblem, ResiliencySpec
-from repro.engine import BACKEND_NAMES, VerificationEngine
+from repro.engine import VerificationEngine
 from repro.grid import case57
 from repro.scada import GeneratorConfig, generate_scada
 
 _results = {"backends": {}, "budget_sweep": {}, "sweep_jobs": {}}
+
+#: The engine's two verification paths.
+BACKEND_NAMES = ("fresh", "assumption")
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 SWEEP_JOBS = (1,) if SMOKE else (1, 2)

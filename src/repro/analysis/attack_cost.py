@@ -105,7 +105,7 @@ def cheapest_threat(analyzer: Verifier,
             raise ValueError(f"unknown device {device} in cost map")
 
     encoder = ModelEncoder(network, engine.problem)
-    solver = Solver(card_encoding=engine.card_encoding)
+    solver = Solver()
     solver.set_hooks(probe_for(current_tracer()))
     solver.add(*encoder.availability_axioms())
     solver.add(*encoder.delivery_definitions(secured=False))

@@ -9,11 +9,10 @@ threat vectors — so galloping + binary search over the budget is sound
 These functions accept either a
 :class:`~repro.core.analyzer.ScadaAnalyzer` (the historical API) or a
 :class:`~repro.engine.VerificationEngine`; either way every query runs
-through the engine.  A search is exactly the workload the
-``assumption`` backend is built for — dozens of queries differing only
-in the budget bound, answered by one solver whose learned clauses
-persist — so ``backend="assumption"`` is the default here; pass
-``backend=None`` to keep the caller's active backend.
+through an engine on the ``assumption`` path: a search is exactly the
+workload that path is built for — dozens of queries differing only in
+the budget bound, answered by one solver whose learned clauses
+persist.
 """
 
 from __future__ import annotations
@@ -34,18 +33,19 @@ __all__ = [
 Verifier = Union[ScadaAnalyzer, VerificationEngine]
 
 
-def _engine(analyzer: Verifier, backend: Optional[str]) -> VerificationEngine:
+def _engine(analyzer: Verifier) -> VerificationEngine:
     engine = VerificationEngine.wrap(analyzer)
-    if backend is not None:
-        engine = engine.with_backend(backend)
-    return engine
+    if engine.backend_name == "assumption":
+        return engine
+    return VerificationEngine(engine.network, engine.problem,
+                              backend="assumption", lint=False,
+                              reference=engine.reference)
 
 
 def max_total_resiliency(analyzer: Verifier,
                          prop: Property = Property.OBSERVABILITY,
                          r: int = 1,
                          max_conflicts: Optional[int] = None,
-                         backend: Optional[str] = "assumption",
                          limits: Optional[Limits] = None,
                          screen: bool = True) -> int:
     """Largest total k such that the k-resilient property holds.
@@ -55,7 +55,7 @@ def max_total_resiliency(analyzer: Verifier,
     (use :func:`max_total_resiliency_bounds` to get the bracket without
     the exception).
     """
-    return _engine(analyzer, backend).max_total_resiliency(
+    return _engine(analyzer).max_total_resiliency(
         prop=prop, r=r, max_conflicts=max_conflicts, limits=limits,
         screen=screen)
 
@@ -65,7 +65,6 @@ def max_total_resiliency_bounds(
         prop: Property = Property.OBSERVABILITY,
         r: int = 1,
         max_conflicts: Optional[int] = None,
-        backend: Optional[str] = "assumption",
         limits: Optional[Limits] = None,
         screen: bool = True) -> SearchBounds:
     """Sound ``[lower, upper]`` bracket on the maximal total budget.
@@ -73,7 +72,7 @@ def max_total_resiliency_bounds(
     With *screen* (the default) the structural pass seeds the bracket;
     ``screen=False`` forces a solver-only search.
     """
-    return _engine(analyzer, backend).max_total_resiliency_bounds(
+    return _engine(analyzer).max_total_resiliency_bounds(
         prop=prop, r=r, max_conflicts=max_conflicts, limits=limits,
         screen=screen)
 
@@ -82,11 +81,10 @@ def max_ied_resiliency(analyzer: Verifier,
                        prop: Property = Property.OBSERVABILITY,
                        k2: int = 0, r: int = 1,
                        max_conflicts: Optional[int] = None,
-                       backend: Optional[str] = "assumption",
                        limits: Optional[Limits] = None,
                        screen: bool = True) -> int:
     """Largest k1 with the (k1, k2)-resilient property holding."""
-    return _engine(analyzer, backend).max_ied_resiliency(
+    return _engine(analyzer).max_ied_resiliency(
         prop=prop, k2=k2, r=r, max_conflicts=max_conflicts, limits=limits,
         screen=screen)
 
@@ -95,10 +93,9 @@ def max_rtu_resiliency(analyzer: Verifier,
                        prop: Property = Property.OBSERVABILITY,
                        k1: int = 0, r: int = 1,
                        max_conflicts: Optional[int] = None,
-                       backend: Optional[str] = "assumption",
                        limits: Optional[Limits] = None,
                        screen: bool = True) -> int:
     """Largest k2 with the (k1, k2)-resilient property holding."""
-    return _engine(analyzer, backend).max_rtu_resiliency(
+    return _engine(analyzer).max_rtu_resiliency(
         prop=prop, k1=k1, r=r, max_conflicts=max_conflicts, limits=limits,
         screen=screen)

@@ -7,11 +7,10 @@ system is maximally resilient yields the slowest *unsat*, and ``k*+1``
 yields a *sat* — timing both reproduces the paper's two curves on
 principled points rather than arbitrary budgets.
 
-Every instance is measured through the
-:class:`~repro.engine.VerificationEngine` (pass ``backend=`` to compare
-fresh / assumption), and whole sweeps fan out across a
-process pool via :class:`~repro.engine.SweepExecutor` (``jobs=``) with
-deterministic, submission-ordered results.
+Every instance is measured through a fresh-path
+:class:`~repro.engine.VerificationEngine`, and whole sweeps fan out
+across a process pool via :class:`~repro.engine.SweepExecutor`
+(``jobs=``) with deterministic, submission-ordered results.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class ScalingPoint:
     seed: int
     num_devices: int
     max_k: int
-    backend: str = "fresh"
     sat_times: List[float] = field(default_factory=list)
     unsat_times: List[float] = field(default_factory=list)
     sat_num_vars: int = 0
@@ -130,7 +128,6 @@ def measure_instance(bus_size: int, hierarchy: int, seed: int,
                      measurement_fraction: float = 0.7,
                      secure_fraction: float = 0.8,
                      max_conflicts: Optional[int] = None,
-                     backend: str = "fresh",
                      limits: Optional[Limits] = None) -> ScalingPoint:
     """Generate one synthetic SCADA instance and time sat/unsat checks.
 
@@ -146,16 +143,16 @@ def measure_instance(bus_size: int, hierarchy: int, seed: int,
     ``unknown_runs`` instead of a time series.
     """
     with obs_span("analysis.instance", bus_size=bus_size,
-                  hierarchy=hierarchy, seed=seed, backend=backend):
+                  hierarchy=hierarchy, seed=seed):
         return _measure_instance(
             bus_size, hierarchy, seed, prop, runs, measurement_fraction,
-            secure_fraction, max_conflicts, backend, limits)
+            secure_fraction, max_conflicts, limits)
 
 
 def _measure_instance(bus_size: int, hierarchy: int, seed: int,
                       prop: Property, runs: int,
                       measurement_fraction: float, secure_fraction: float,
-                      max_conflicts: Optional[int], backend: str,
+                      max_conflicts: Optional[int],
                       limits: Optional[Limits]) -> ScalingPoint:
     config = GeneratorConfig(
         measurement_fraction=measurement_fraction,
@@ -166,7 +163,7 @@ def _measure_instance(bus_size: int, hierarchy: int, seed: int,
     synthetic = generate_scada(case_by_buses(bus_size, seed=seed), config)
     problem = ObservabilityProblem.from_table(synthetic.table)
     engine = VerificationEngine(synthetic.network, problem,
-                                backend=backend)
+                                backend="fresh")
 
     max_k_exact = True
     try:
@@ -179,7 +176,7 @@ def _measure_instance(bus_size: int, hierarchy: int, seed: int,
         max_k_exact = False
     point = ScalingPoint(
         bus_size=bus_size, hierarchy=hierarchy, seed=seed,
-        num_devices=synthetic.num_devices, max_k=max_k, backend=backend,
+        num_devices=synthetic.num_devices, max_k=max_k,
         max_k_exact=max_k_exact,
     )
     unsat_spec = ResiliencySpec.for_property(prop, k=max(max_k, 0))
@@ -218,7 +215,6 @@ class _MeasureTask:
     runs: int
     secure_fraction: float
     max_conflicts: Optional[int]
-    backend: str
     limits: Optional[Limits] = None
 
 
@@ -226,8 +222,7 @@ def _measure_task(task: _MeasureTask) -> ScalingPoint:
     return measure_instance(
         task.bus_size, task.hierarchy, task.seed, prop=task.prop,
         runs=task.runs, secure_fraction=task.secure_fraction,
-        max_conflicts=task.max_conflicts, backend=task.backend,
-        limits=task.limits)
+        max_conflicts=task.max_conflicts, limits=task.limits)
 
 
 def _run_sweep(tasks: List[_MeasureTask], prop: Property, jobs: int,
@@ -249,7 +244,6 @@ def sweep_bus_sizes(bus_sizes: Sequence[int],
                     runs: int = 3,
                     secure_fraction: float = 0.8,
                     max_conflicts: Optional[int] = None,
-                    backend: str = "fresh",
                     jobs: int = 1,
                     limits: Optional[Limits] = None,
                     task_timeout: Optional[float] = None,
@@ -264,7 +258,7 @@ def sweep_bus_sizes(bus_sizes: Sequence[int],
     """
     tasks = [
         _MeasureTask(bus_size, hierarchy, seed, prop, runs,
-                     secure_fraction, max_conflicts, backend, limits)
+                     secure_fraction, max_conflicts, limits)
         for bus_size in bus_sizes
         for seed in seeds
     ]
@@ -278,7 +272,6 @@ def sweep_hierarchy(bus_size: int,
                     runs: int = 3,
                     secure_fraction: float = 0.8,
                     max_conflicts: Optional[int] = None,
-                    backend: str = "fresh",
                     jobs: int = 1,
                     limits: Optional[Limits] = None,
                     task_timeout: Optional[float] = None,
@@ -289,7 +282,7 @@ def sweep_hierarchy(bus_size: int,
     """
     tasks = [
         _MeasureTask(bus_size, level, seed, prop, runs,
-                     secure_fraction, max_conflicts, backend, limits)
+                     secure_fraction, max_conflicts, limits)
         for level in hierarchy_levels
         for seed in seeds
     ]

@@ -67,16 +67,13 @@ def threat_space(analyzer: Union[ScadaAnalyzer, VerificationEngine],
                  spec: ResiliencySpec,
                  limit: Optional[int] = None,
                  minimal: bool = True,
-                 backend: Optional[str] = None,
                  limits: Optional[Limits] = None,
                  screen: bool = True) -> ThreatSpace:
     """Enumerate the (minimal) threat space of *spec*.
 
     Accepts a :class:`ScadaAnalyzer` or a :class:`VerificationEngine`;
-    with an engine, enumeration uses the active backend unless
-    *backend* overrides it (e.g. ``"assumption"`` to sweep many specs
-    against one solver: budgets ride on assumption selectors and only
-    the blocking clauses live in a per-spec scope).
+    enumeration runs on the engine's path (an analyzer is wrapped in a
+    fresh-path engine).
 
     *limits* bounds every individual solve.  An expired budget does not
     discard the work done: the vectors found so far come back in a
@@ -90,8 +87,6 @@ def threat_space(analyzer: Union[ScadaAnalyzer, VerificationEngine],
     are never screened.
     """
     engine = VerificationEngine.wrap(analyzer)
-    if backend is not None:
-        engine = engine.with_backend(backend)
     if screen and spec.link_k is None:
         bounds = engine.structural().attack_bounds(spec.property, r=spec.r)
         if bounds.certified and spec.budget.max_failures < bounds.lower:

@@ -72,7 +72,7 @@ from .core import (
     Status,
 )
 from .core.hardening import harden
-from .engine import BACKEND_NAMES, SweepExecutor, VerificationEngine
+from .engine import SweepExecutor, VerificationEngine
 from .grid.ieee_cases import case_by_buses
 from .obs.tracer import Tracer, set_tracer
 from .sat.limits import Limits, ResourceLimitReached
@@ -132,16 +132,15 @@ def _limits_from_args(args) -> Optional[Limits]:
     max_conflicts = getattr(args, "max_conflicts", None)
     if timeout is None and max_conflicts is None:
         return None
-    return Limits(max_time=timeout, max_conflicts=max_conflicts)
+    try:
+        return Limits(max_time=timeout, max_conflicts=max_conflicts)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _add_engine_args(parser: argparse.ArgumentParser,
                      jobs: bool = True) -> None:
-    parser.add_argument("--backend", default="fresh",
-                        choices=BACKEND_NAMES,
-                        help="verification backend (a fresh solver per "
-                             "query, or assumption-selected budgets on "
-                             "one persistent solver)")
     _add_limit_args(parser)
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write a JSONL telemetry trace (spans, "
@@ -176,7 +175,7 @@ def _cmd_verify(args) -> int:
     spec = _spec_from_args(args, config.spec)
     try:
         engine = VerificationEngine(config.network, config.problem,
-                                    backend=args.backend,
+                                    backend="fresh",
                                     lint=not args.no_lint)
     except ConfigurationLintError as exc:
         print(exc.report.to_text(), file=sys.stderr)
@@ -269,7 +268,7 @@ def _cmd_enumerate(args) -> int:
     config = load_config(args.config)
     spec = _spec_from_args(args, config.spec)
     engine = VerificationEngine(config.network, config.problem,
-                                backend=args.backend)
+                                backend="fresh")
     space = threat_space(engine, spec, limit=args.limit,
                          limits=_limits_from_args(args),
                          screen=not args.no_screen)
@@ -333,14 +332,14 @@ def _cmd_generate(args) -> int:
 
 
 def _max_search_task(
-    task: Tuple[str, str, str, str, Optional[Limits], bool],
+    task: Tuple[str, str, str, Optional[Limits], bool],
 ):
     """Worker: one maximal-resiliency search on a config loaded by path."""
-    config_path, prop_value, kind, backend, limits, screen = task
+    config_path, prop_value, kind, limits, screen = task
     config = load_config(config_path)
     # The parent process already linted the configuration.
     engine = VerificationEngine(config.network, config.problem,
-                                backend=backend, lint=False)
+                                backend="fresh", lint=False)
     prop = Property(prop_value)
     if kind == "total":
         return engine.max_total_resiliency_bounds(prop, limits=limits,
@@ -358,14 +357,13 @@ def _cmd_max_resiliency(args) -> int:
     limits = _limits_from_args(args)
     screen = not args.no_screen
     if args.jobs != 1:
-        tasks = [(args.config, prop.value, kind, args.backend, limits,
-                  screen)
+        tasks = [(args.config, prop.value, kind, limits, screen)
                  for kind in ("total", "ied", "rtu")]
         total, ied, rtu = SweepExecutor(args.jobs).map(
             _max_search_task, tasks)
     else:
         engine = VerificationEngine(config.network, config.problem,
-                                    backend=args.backend)
+                                    backend="fresh")
         total = engine.max_total_resiliency_bounds(prop, limits=limits,
                                                    screen=screen)
         ied = engine.max_ied_resiliency_bounds(prop, limits=limits,
@@ -390,7 +388,6 @@ def _cmd_report(args) -> int:
     text = audit_report(config.network, config.problem,
                         threat_limit=args.limit,
                         include_hardening=not args.no_hardening,
-                        backend=args.backend,
                         jobs=args.jobs,
                         limits=_limits_from_args(args))
     if args.out:
@@ -426,7 +423,7 @@ def _cmd_serve(args) -> int:
 
     service = ReproService(
         host=args.host, port=args.port, jobs=args.jobs,
-        max_sessions=args.sessions, backend=args.backend,
+        max_sessions=args.sessions,
         queue_limit=args.queue_limit, trace_dir=args.trace_dir)
 
     async def run() -> None:
@@ -434,8 +431,7 @@ def _cmd_serve(args) -> int:
         print(f"repro service listening on "
               f"http://{service.host}:{service.port} "
               f"({service.bridge.workers} worker(s), up to "
-              f"{args.sessions} warm session(s), "
-              f"{args.backend} backend)")
+              f"{args.sessions} warm session(s))")
         sys.stdout.flush()
         try:
             await service.serve_forever()
@@ -487,8 +483,7 @@ def _cmd_client(args) -> int:
             payload = getattr(client, args.action)()
         elif args.action == "open":
             payload = client.open_session(
-                require(config_text, "a config file"),
-                backend=args.backend)
+                require(config_text, "a config file"))
         elif args.action == "invalidate":
             payload = client.invalidate(
                 require(args.session, "--session"))
@@ -511,17 +506,17 @@ def _cmd_client(args) -> int:
             payload = client.verify(
                 config=config_text, session=args.session,
                 spec=_client_spec(args), limits=_client_limits(args),
-                wait=wait, backend=args.backend)
+                wait=wait)
         elif args.action == "enumerate":
             payload = client.enumerate_vectors(
                 config=config_text, session=args.session,
                 spec=_client_spec(args), limits=_client_limits(args),
-                limit=args.limit, wait=wait, backend=args.backend)
+                limit=args.limit, wait=wait)
         else:  # max-resiliency
             payload = client.max_resiliency(
                 config=config_text, session=args.session,
                 prop=args.property, limits=_client_limits(args),
-                cold=args.cold, wait=wait, backend=args.backend)
+                cold=args.cold, wait=wait)
     except ServiceClientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -592,7 +587,7 @@ def _cmd_watch(args) -> int:
         else:
             emulator = ScenarioEmulator(config.network, seed=args.seed)
             events = emulator.events(args.emulate)
-        watcher = Watcher(config, floors, backend=args.backend,
+        watcher = Watcher(config, floors,
                           limits=_limits_from_args(args),
                           engine_cache=args.engine_cache)
     except StreamError as exc:
@@ -721,7 +716,7 @@ def _cmd_corpus_run(args) -> int:
             args.root, properties=properties, ks=args.ks, r=args.r,
             limits=_limits_from_args(args), jobs=args.jobs,
             timeout=args.task_timeout, retries=args.retries,
-            backend=args.backend, resume=args.resume)
+            resume=args.resume)
     except StoreVersionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -886,9 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="all_properties",
                          help="monitor all four properties at the "
                               "given budget instead of one spec")
-    p_watch.add_argument("--backend", default="assumption",
-                         choices=BACKEND_NAMES,
-                         help="backend for the warm watcher engines")
     p_watch.add_argument("--engine-cache", type=int, default=4,
                          dest="engine_cache",
                          help="warm engines kept across network "
@@ -952,9 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--sessions", type=int, default=8,
                          help="warm sessions kept (LRU-evicted beyond "
                               "this)")
-    p_serve.add_argument("--backend", default="assumption",
-                         choices=BACKEND_NAMES,
-                         help="engine backend for new sessions")
     p_serve.add_argument("--queue-limit", type=int, default=64,
                          dest="queue_limit",
                          help="pending-job cap across all tenants")
@@ -994,9 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "cold lane (needs config text)")
     p_client.add_argument("--out", default=None,
                           help="write the downloaded trace here")
-    p_client.add_argument("--backend", default=None,
-                          choices=BACKEND_NAMES,
-                          help="backend for a newly created session")
     _add_limit_args(p_client)
     _add_spec_args(p_client)
     p_client.set_defaults(func=_cmd_client)
@@ -1063,8 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(pooled runs)")
     p_crun.add_argument("--retries", type=int, default=0,
                         help="extra solo attempts per failed grid task")
-    p_crun.add_argument("--backend", default="fresh",
-                        choices=BACKEND_NAMES)
     p_crun.add_argument("--no-resume", dest="resume",
                         action="store_false",
                         help="recompute every cell (overwrites in "

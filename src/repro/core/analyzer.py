@@ -25,10 +25,10 @@ from ..sat.cnf import CNF
 from ..sat.limits import Limits
 from ..scada.network import ScadaNetwork
 from ..smt.solver import Result, Solver
-from ..smt.terms import Not, Or, Term
+from ..smt.terms import Term
 from ..smt.tseitin import Encoder
 from .encoder import ModelEncoder
-from .extraction import extract_threat
+from .extraction import blocking_clause, extract_threat
 from .problem import ObservabilityProblem
 from .reference import ReferenceEvaluator
 from .results import Status, ThreatVector, VerificationResult
@@ -63,12 +63,10 @@ class ScadaAnalyzer:
 
     def __init__(self, network: ScadaNetwork,
                  problem: ObservabilityProblem,
-                 card_encoding: str = "totalizer",
                  lint: bool = True,
                  reference: Optional[ReferenceEvaluator] = None) -> None:
         self.network = network
         self.problem = problem
-        self.card_encoding = card_encoding
         if lint:
             # Imported lazily: repro.lint imports core modules at module
             # level, so a top-level import here would be circular.
@@ -77,8 +75,8 @@ class ScadaAnalyzer:
             report = lint_case(network, problem)
             if report.has_errors:
                 raise ConfigurationLintError(report)
-        # The engine layer shares one reference evaluator across all of
-        # its backends; standalone use builds a private one.
+        # The engine shares its reference evaluator with the analyzer
+        # and its warm contexts; standalone use builds a private one.
         self.reference = reference or ReferenceEvaluator(network, problem)
         # Cooperative-cancel plumbing: each query builds a throwaway
         # solver, so an interrupt arriving from another thread must (a)
@@ -132,8 +130,7 @@ class ScadaAnalyzer:
                produce_proof: bool = False) -> tuple:
         """Encode the threat-verification model into a fresh solver."""
         encoder = self._model_encoder(spec)
-        solver = Solver(card_encoding=self.card_encoding,
-                        produce_proof=produce_proof)
+        solver = Solver(produce_proof=produce_proof)
         self._live_solver = solver
         if self._interrupt_requested:
             solver.interrupt()
@@ -226,7 +223,6 @@ class ScadaAnalyzer:
         vectors found so far on its ``partial`` attribute.
         """
         solver, encoder, _ = self._build(spec)
-        node_vars = encoder.field_node_vars()
 
         def check() -> Optional[bool]:
             outcome = solver.check(max_conflicts=max_conflicts,
@@ -240,28 +236,10 @@ class ScadaAnalyzer:
                                         minimize=minimal)
 
         def block(threat: ThreatVector) -> bool:
-            failed = threat.failed_devices
-            failed_links = threat.failed_links
-            if minimal:
-                # Forbid this failure set and every superset.
-                revive = [node_vars[i] for i in failed]
-                revive += [encoder.link_up(a, b) for a, b in failed_links]
-                solver.add(Or(*revive))
-            else:
-                # Forbid only this exact assignment of the node vars.
-                flip = [
-                    Not(var) if i not in failed else var
-                    for i, var in node_vars.items()
-                ]
-                if spec.link_k is not None:
-                    flip += [
-                        Not(var) if pair not in failed_links else var
-                        for pair, var in encoder.link_vars().items()
-                    ]
-                solver.add(Or(*flip))
+            solver.add(blocking_clause(threat, encoder, spec, minimal))
             # The empty vector violates the property; nothing else can
             # be more minimal, so stop the enumeration here.
-            return bool(failed or failed_links)
+            return bool(threat.failed_devices or threat.failed_links)
 
         return list(drive_enumeration(
             check, extract, block, limit=limit, what="threat vector",
@@ -281,7 +259,7 @@ class ScadaAnalyzer:
         Used by ``repro lint --encoding``; nothing is solved.
         """
         cnf = CNF()
-        tseitin = Encoder(cnf, card_encoding=self.card_encoding)
+        tseitin = Encoder(cnf)
         for term in self._threat_model(self._model_encoder(spec), spec):
             tseitin.assert_term(term)
         return cnf, set(tseitin.var_names.values())

@@ -185,7 +185,7 @@ class ModelEncoder:
     def property_negation(self, prop: Property, r: int = 1) -> Term:
         """The threat condition ``¬property`` for any supported property.
 
-        The single dispatch point used by both verification backends
+        The single dispatch point used by both verification paths
         (fresh, assumption) and the attack-cost search;
         ``r`` only matters for bad-data detectability.
         """

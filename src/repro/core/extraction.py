@@ -6,6 +6,8 @@ identically: read the failed devices
 (and links) off the model, validate them against the independent
 reference evaluator, optionally shrink to an inclusion-minimal set, and
 attach the delivery evidence explaining *why* the property fails.
+Their threat enumerations block each found vector with the same
+clause (:func:`blocking_clause`).
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from typing import Set, Tuple
 
 from ..scada.network import ScadaNetwork
 from ..smt.solver import Model
+from ..smt.terms import Not, Or, Term
 from .encoder import ModelEncoder
 from .problem import ObservabilityProblem
 from .reference import ReferenceEvaluator
 from .results import ThreatVector
 from .specs import ResiliencySpec
 
-__all__ = ["extract_threat"]
+__all__ = ["blocking_clause", "extract_threat"]
 
 
 def extract_threat(model: Model, encoder: ModelEncoder,
@@ -66,3 +69,26 @@ def extract_threat(model: Model, encoder: ModelEncoder,
         uncovered_states=frozenset(uncovered),
         minimal=minimal,
     )
+
+
+def blocking_clause(threat: ThreatVector, encoder: ModelEncoder,
+                    spec: ResiliencySpec, minimal: bool) -> Term:
+    """The clause an enumeration adds to exclude *threat*.
+
+    With *minimal* it forbids the failure set and every superset;
+    otherwise only this exact assignment of the node (and, with a link
+    budget, link) variables.
+    """
+    failed = threat.failed_devices
+    failed_links = threat.failed_links
+    node_vars = encoder.field_node_vars()
+    if minimal:
+        revive = [node_vars[i] for i in failed]
+        revive += [encoder.link_up(a, b) for a, b in failed_links]
+        return Or(*revive)
+    flip = [Not(var) if i not in failed else var
+            for i, var in node_vars.items()]
+    if spec.link_k is not None:
+        flip += [Not(var) if pair not in failed_links else var
+                 for pair, var in encoder.link_vars().items()]
+    return Or(*flip)

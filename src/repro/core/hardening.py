@@ -13,8 +13,8 @@ supported:
 
 The search iterates over repair subsets in increasing size (so the
 first success is minimum-cardinality) and verifies each candidate
-configuration through a :class:`~repro.engine.VerificationEngine`
-(``backend=`` selects the solving strategy).  A verification-call
+configuration through a fresh-path
+:class:`~repro.engine.VerificationEngine`.  A verification-call
 budget keeps the combinatorial search bounded; exceeding it raises.
 """
 
@@ -140,13 +140,11 @@ def harden(network: ScadaNetwork, problem: ObservabilityProblem,
            allow_links: bool = True,
            max_repairs: int = 2,
            max_verify_calls: int = 500,
-           backend: str = "fresh",
            limits: Optional[Limits] = None) -> HardeningResult:
     """Find a minimum-cardinality repair set restoring *spec*.
 
     Returns a result whose ``network`` is the repaired configuration, or
     ``None`` when no subset of at most *max_repairs* repairs works.
-    ``backend`` selects the engine backend used to verify candidates;
     ``limits`` bounds each candidate's solve — an UNKNOWN verdict is
     *not* RESILIENT, so a budgeted search never certifies a repair it
     could not prove (it may merely miss one it lacked time for).
@@ -164,7 +162,7 @@ def harden(network: ScadaNetwork, problem: ObservabilityProblem,
         # Candidate networks are lint-checked by the caller's analyzer;
         # re-linting every repair candidate here would be wasted work
         # (and a weakened candidate may legitimately trip delivery rules).
-        engine = VerificationEngine(candidate, problem, backend=backend,
+        engine = VerificationEngine(candidate, problem, backend="fresh",
                                     lint=False)
         result = engine.verify(spec, minimize=False, limits=limits)
         return result.status is Status.RESILIENT

@@ -13,9 +13,9 @@ assumption.  Nothing is re-encoded per query — a new budget only
 *grows* the counter the first time it is seen — and **all** learned
 clauses survive across budgets.  For bad-data detectability the
 redundancy parameter ``r`` is gated the same way, so one context serves
-every ``(k, r)`` combination.  The
-:class:`~repro.engine.VerificationEngine`'s ``assumption`` backend keeps
-contexts in its encoding cache.
+every ``(k, r)`` combination.  A
+:class:`~repro.engine.VerificationEngine` on the ``assumption`` path
+keeps contexts in its encoding cache.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from ..sat.enumeration import drive_enumeration
 from ..sat.limits import Limits
 from ..scada.network import ScadaNetwork
 from ..smt.solver import BudgetHandle, Result, Solver
-from ..smt.terms import Bool, BoolVal, Implies, Not, Or, Term
+from ..smt.terms import Bool, BoolVal, Implies, Not, Term
 from .encoder import ModelEncoder
-from .extraction import extract_threat
+from .extraction import blocking_clause, extract_threat
 from .problem import ObservabilityProblem
 from .reference import ReferenceEvaluator
 from .results import Status, ThreatVector, VerificationResult
@@ -56,7 +56,6 @@ class IncrementalContext:
                  problem: ObservabilityProblem,
                  prop: Property = Property.OBSERVABILITY,
                  model_links: bool = False,
-                 card_encoding: str = "totalizer",
                  reference: Optional[ReferenceEvaluator] = None) -> None:
         self.network = network
         self.problem = problem
@@ -65,7 +64,7 @@ class IncrementalContext:
         self.reference = reference or ReferenceEvaluator(network, problem)
         self._encoder = ModelEncoder(network, problem,
                                      model_links=model_links)
-        self._solver = Solver(card_encoding=card_encoding)
+        self._solver = Solver()
         # The bad-data redundancy parameter r is gated per query exactly
         # like k, so the base encoding is r-independent.
         self._gate_r = prop is Property.BAD_DATA_DETECTABILITY
@@ -195,7 +194,7 @@ class IncrementalContext:
         # own: the shared base plus the query's budget delta.  The
         # shared solver's raw totals accumulate every previous query's
         # budget encoding and would inflate scaling tables relative to
-        # the fresh backend.  (A repeated budget's delta is zero: its
+        # the fresh path.  (A repeated budget's delta is zero: its
         # counter already exists.)
         result = VerificationResult(
             spec=spec,
@@ -244,7 +243,6 @@ class IncrementalContext:
         self._check_spec(spec)
         solver = self._solver
         solver.set_hooks(probe_for(current_tracer()))
-        node_vars = self._encoder.field_node_vars()
         assumptions = self._budget_assumptions(spec)
 
         def check() -> Optional[bool]:
@@ -262,30 +260,11 @@ class IncrementalContext:
                 origin=f"{self.backend_name} solver")
 
         def block(threat: ThreatVector) -> bool:
-            failed = threat.failed_devices
-            failed_links = threat.failed_links
-            if minimal:
-                # Forbid this failure set and every superset.
-                revive = [node_vars[i] for i in failed]
-                revive += [self._encoder.link_up(a, b)
-                           for a, b in failed_links]
-                solver.add(Or(*revive))
-            else:
-                # Forbid only this exact assignment of the node vars.
-                flip = [
-                    Not(var) if i not in failed else var
-                    for i, var in node_vars.items()
-                ]
-                if spec.link_k is not None:
-                    flip += [
-                        Not(var) if pair not in failed_links else var
-                        for pair, var
-                        in self._encoder.link_vars().items()
-                    ]
-                solver.add(Or(*flip))
+            solver.add(blocking_clause(threat, self._encoder, spec,
+                                       minimal))
             # The empty vector violates the property; nothing else can
             # be more minimal, so stop the enumeration here.
-            return bool(failed or failed_links)
+            return bool(threat.failed_devices or threat.failed_links)
 
         with solver.scope():
             # On budget expiry drive_enumeration raises

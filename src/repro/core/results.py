@@ -5,8 +5,8 @@ A ``sat`` answer from the solver is translated into a
 downstream evidence (undelivered measurements, uncovered states) that
 explains *why* the property fails, mirroring the paper's "elaborate
 result" discussion (§IV-A).  A :class:`VerificationResult` records which
-of the two backends answered (``fresh`` or ``assumption``) and that
-query's own solver statistics.
+of the engine's two verification paths answered (``fresh`` or
+``assumption``) and that query's own solver statistics.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class VerificationResult:
     num_vars: int = 0
     num_clauses: int = 0
     details: Dict[str, object] = field(default_factory=dict)
-    #: Which verification backend produced this result
+    #: Which verification path produced this result
     #: ("fresh" or "assumption").
     backend: str = "fresh"
     #: Per-query solver search statistics (conflicts, decisions,

@@ -211,10 +211,8 @@ def _run_cells(task: Mapping[str, Any]) -> List[Dict[str, Any]]:
     """
     network, problem = _materialize(task["entry"])
     limits = limits_from_payload(task["limits"])
-    engine = VerificationEngine(
-        network, problem, backend=str(task.get("backend", "fresh")),
-        card_encoding=str(task.get("card_encoding", "totalizer")),
-        lint=False)
+    engine = VerificationEngine(network, problem, backend="fresh",
+                                lint=False)
     records: List[Dict[str, Any]] = []
     for cell in task["cells"]:
         spec = spec_from_payload(cell["spec"])
@@ -314,8 +312,6 @@ def run_corpus(root: str,
                jobs: Optional[int] = 1,
                timeout: Optional[float] = None,
                retries: int = 0,
-               backend: str = "fresh",
-               card_encoding: str = "totalizer",
                resume: bool = True) -> CorpusReport:
     """Sweep every grid × property × budget cell, resumably.
 
@@ -352,8 +348,7 @@ def run_corpus(root: str,
                             "key": list(key)})
         if pending:
             tasks.append({"entry": entry, "cells": pending,
-                          "limits": limits_pay, "backend": backend,
-                          "card_encoding": card_encoding})
+                          "limits": limits_pay})
 
     if tasks:
         executor = SweepExecutor(jobs=jobs)

@@ -1,20 +1,19 @@
-"""The engine's encoding cache.
+"""The warm engine's encoding cache.
 
 Budget sweeps ask many queries whose encodings differ only in the
 cardinality constraint.  The cache maps an :class:`EncodingKey` —
-(network fingerprint, problem fingerprint, property, link modeling,
-cardinality encoding) — to a live
+(property, link modeling) — to a live
 :class:`~repro.core.incremental.IncrementalContext` holding the
 budget-independent encoding, so budget-only queries never re-encode the
-delivery model.  Entries own a full solver each, so the cache is a small
-LRU rather than unbounded.
+delivery model.  Each engine owns its cache and encodes one
+configuration, so the cache holds at most one context per property and
+link-modeling choice and needs no eviction policy.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple
 
 from ..core.incremental import IncrementalContext
 from ..core.specs import Property
@@ -24,92 +23,60 @@ __all__ = ["EncodingKey", "EncodingCache"]
 
 
 class EncodingKey(NamedTuple):
-    """What uniquely determines a budget-independent base encoding.
+    """What determines a budget-independent base encoding within one
+    engine's configuration.
 
     There is no ``r`` slot: contexts gate the bad-data redundancy
     parameter per query with an assumption literal, so one encoding
     serves every ``r``.
     """
 
-    network_fingerprint: str
-    problem_fingerprint: str
     prop: Property
     model_links: bool
-    card_encoding: str
 
 
 class EncodingCache:
-    """LRU cache of :class:`IncrementalContext` base encodings.
+    """The :class:`IncrementalContext` base encodings of one engine.
 
-    All public operations are atomic under one re-entrant lock: the
-    service layer shares a cache between its request threads, and an
-    unlocked ``get_or_create`` racing ``invalidate_config`` is a
-    check-then-act bug — the invalidation can run *between* a miss and
-    its ``put``, silently resurrecting a context for a configuration
-    the operator just declared stale.  ``get_or_create`` therefore
-    holds the lock across the factory call too: an invalidation issued
-    while an encode is in flight serializes after it and still wins.
-    (Contexts are not safe for concurrent *use* anyway — each owns a
-    solver — so serializing creation costs the service nothing.)
+    All public operations are atomic under one lock: the service layer
+    shares a session's engine between its request threads.
+    ``get_or_create`` holds the lock across the factory call, so a
+    :meth:`clear` issued while an encode is in flight (a session being
+    dropped) serializes after it and still wins instead of racing the
+    insert.  (Contexts are not safe for concurrent *use* anyway — each
+    owns a solver — so serializing creation costs the service nothing.)
     """
 
-    def __init__(self, maxsize: int = 8) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[EncodingKey, IncrementalContext]" = \
-            OrderedDict()
+        self._lock = threading.Lock()
+        self._entries: Dict[EncodingKey, IncrementalContext] = {}
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def keys(self) -> "list[EncodingKey]":
-        """The cached keys, least-recently-used first."""
-        with self._lock:
-            return list(self._entries)
-
-    def get(self, key: EncodingKey) -> Optional[IncrementalContext]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                obs_count("cache.hits")
-            else:
-                self.misses += 1
-                obs_count("cache.misses")
-            return entry
-
-    def put(self, key: EncodingKey, entry: IncrementalContext) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                obs_count("cache.evictions")
 
     def get_or_create(
         self, key: EncodingKey,
         factory: Callable[[], IncrementalContext],
     ) -> IncrementalContext:
         with self._lock:
-            entry = self.get(key)
-            if entry is None:
-                entry = factory()
-                self.put(key, entry)
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.hits += 1
+                obs_count("cache.hits")
+                return entry
+            self.misses += 1
+            obs_count("cache.misses")
+            entry = self._entries[key] = factory()
             return entry
 
     def invalidate(self, key: EncodingKey) -> bool:
         """Drop one entry (if present); True when something was removed.
 
-        Callers use this to evict a *poisoned* context — one whose
-        shared solver may hold partially-asserted state after a backend
+        The engine uses this to evict a *poisoned* context — one whose
+        shared solver may hold partially-asserted state after an
         exception escaped mid-query.  A clean resource-limit outcome
         (UNKNOWN verdict, :exc:`~repro.sat.ResourceLimitReached`) does
         not poison a context and must not evict it: the solver unwinds
@@ -118,25 +85,6 @@ class EncodingCache:
         """
         with self._lock:
             return self._entries.pop(key, None) is not None
-
-    def invalidate_config(self, network_fingerprint: str,
-                          problem_fingerprint: str) -> int:
-        """Drop every entry encoding one configuration.
-
-        The service's session layer calls this when a session is
-        explicitly invalidated (the operator knows the underlying grid
-        changed): all warm contexts keyed on the configuration's
-        fingerprints are released at once, whatever their property or
-        cardinality encoding.  Returns the number of entries
-        dropped.
-        """
-        with self._lock:
-            doomed = [key for key in self._entries
-                      if key.network_fingerprint == network_fingerprint
-                      and key.problem_fingerprint == problem_fingerprint]
-            for key in doomed:
-                del self._entries[key]
-            return len(doomed)
 
     def clear(self) -> None:
         with self._lock:

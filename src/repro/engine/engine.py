@@ -2,21 +2,48 @@
 
 :class:`VerificationEngine` is the single entry point every consumer —
 the CLI, the sweep drivers, max-resiliency search, threat-space
-enumeration, hardening, the audit report — programs against.  It owns
+enumeration, hardening, the audit report, the service and the stream
+watchers — programs against.  It owns
 
 * the lint gate (run once per configuration, not per query),
 * a shared :class:`~repro.core.reference.ReferenceEvaluator`,
-* one of two backends — ``fresh`` (a new solver per query: the
-  one-shot default and the independent oracle) or ``assumption`` (warm
-  cached contexts with assumption-selected budgets), and
-* the encoding cache feeding the ``assumption`` backend.
+* one :class:`~repro.core.analyzer.ScadaAnalyzer`, which re-encodes
+  the whole model into a new solver per query, and
+* an :class:`~repro.engine.cache.EncodingCache` of warm
+  :class:`~repro.core.incremental.IncrementalContext`\\ s.
+
+Each engine answers on one of two paths, fixed at construction:
+
+* ``fresh`` — every query goes to the analyzer.  It is the independent
+  oracle and the cheapest path for one-shot cells.
+* ``assumption`` — the budget-independent part is encoded once per
+  (property, link-modeling) key and cached; budgets (and the bad-data
+  ``r``) are selected by assumption literals over persistent
+  extendable counters, so all learned clauses survive across budgets.
+  This is the warm path of the service, the watchers and the
+  max-resiliency searches.
+
+Both paths give the same verdicts by construction (differential-tested
+in ``tests/engine``).  Certified queries and model exports always take
+the analyzer: RUP proofs need an assumption-free solve.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+import weakref
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from ..core.analyzer import ConfigurationLintError, ScadaAnalyzer
+from ..core.incremental import IncrementalContext
 from ..core.problem import ObservabilityProblem
 from ..core.reference import ReferenceEvaluator
 from ..core.results import Status, ThreatVector, VerificationResult
@@ -27,28 +54,30 @@ from ..obs.tracer import event as obs_event
 from ..obs.tracer import span as obs_span
 from ..sat.limits import Limits, ResourceLimitReached
 from ..scada.network import ScadaNetwork
-from .backends import VerificationBackend, make_backend
-from .cache import EncodingCache
+from .cache import EncodingCache, EncodingKey
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..graphs.security_index import StructuralAnalysis
 
 __all__ = ["VerificationEngine"]
 
+_T = TypeVar("_T")
+
 
 class VerificationEngine:
-    """Unified, backend-pluggable resiliency verification."""
+    """Resiliency verification on the ``fresh`` or ``assumption`` path."""
 
     def __init__(self, network: ScadaNetwork,
                  problem: ObservabilityProblem,
                  backend: str = "fresh",
-                 card_encoding: str = "totalizer",
                  lint: bool = True,
-                 cache: Optional[EncodingCache] = None,
                  reference: Optional[ReferenceEvaluator] = None) -> None:
+        if backend not in ("fresh", "assumption"):
+            raise ValueError(f"unknown backend {backend!r}; expected "
+                             f"fresh or assumption")
         self.network = network
         self.problem = problem
-        self.card_encoding = card_encoding
+        self.backend_name = backend
         if lint:
             # Imported lazily: repro.lint imports core modules at module
             # level, so a top-level import here would be circular.
@@ -58,11 +87,17 @@ class VerificationEngine:
             if report.has_errors:
                 raise ConfigurationLintError(report)
         self.reference = reference or ReferenceEvaluator(network, problem)
-        self.cache = cache if cache is not None else EncodingCache()
-        self._backend: VerificationBackend = make_backend(
-            backend, network, problem, card_encoding=card_encoding,
-            reference=self.reference, cache=self.cache)
-        self._export_analyzer: Optional[ScadaAnalyzer] = None
+        # Lint ran above; the analyzer never re-lints.
+        self.analyzer = ScadaAnalyzer(network, problem, lint=False,
+                                      reference=self.reference)
+        #: The warm path's contexts (always empty on the fresh path).
+        self.cache = EncodingCache()
+        # Every context handed out, weakly held: an interrupt must reach
+        # whichever context is solving right now without pinning
+        # contexts the cache has already dropped.
+        self._live_contexts: "weakref.WeakSet[IncrementalContext]" = \
+            weakref.WeakSet()
+        self._interrupt_requested = False
         self._structural: Optional["StructuralAnalysis"] = None
         #: Lifetime solver-effort totals across every query this engine
         #: has answered (the service's per-session ``GET /sessions``
@@ -71,45 +106,27 @@ class VerificationEngine:
 
     # ------------------------------------------------------------------
 
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
-
-    @property
-    def backend(self) -> VerificationBackend:
-        return self._backend
-
     def interrupt(self) -> None:
         """Cooperatively abort the running (or next) query.
 
-        Forwarded to the active backend; the query in flight answers
-        UNKNOWN with limit reason ``interrupt`` (never a spurious
-        verdict) and warm assumption contexts survive to
-        serve the next query.  Sticky until :meth:`clear_interrupt` —
-        the service's job layer arms it when a client cancels or
-        disconnects, and re-arms the engine once the cancelled job has
-        fully unwound.
+        Reaches the analyzer and every live warm context; the query in
+        flight answers UNKNOWN with limit reason ``interrupt`` (never a
+        spurious verdict) and warm contexts survive to serve the next
+        query.  Sticky until :meth:`clear_interrupt` — the service's
+        job layer arms it when a client cancels or disconnects, and
+        re-arms the engine once the cancelled job has fully unwound.
         """
-        self._backend.interrupt()
+        self._interrupt_requested = True
+        self.analyzer.interrupt()
+        for ctx in list(self._live_contexts):
+            ctx.interrupt()
 
     def clear_interrupt(self) -> None:
         """Re-arm the engine after an :meth:`interrupt`."""
-        self._backend.clear_interrupt()
-
-    def with_backend(self, backend: str) -> "VerificationEngine":
-        """This engine, or a sibling running the named backend.
-
-        The sibling shares the reference evaluator and encoding cache
-        and skips the lint gate (this engine already ran it), so
-        switching backends mid-analysis is cheap.  Returns ``self``
-        when the backend already matches.
-        """
-        if backend == self.backend_name:
-            return self
-        return VerificationEngine(
-            self.network, self.problem, backend=backend,
-            card_encoding=self.card_encoding, lint=False,
-            cache=self.cache, reference=self.reference)
+        self._interrupt_requested = False
+        self.analyzer.clear_interrupt()
+        for ctx in list(self._live_contexts):
+            ctx.clear_interrupt()
 
     @classmethod
     def wrap(cls, subject: Union["VerificationEngine", ScadaAnalyzer]
@@ -123,9 +140,39 @@ class VerificationEngine:
         """
         if isinstance(subject, cls):
             return subject
-        return cls(subject.network, subject.problem, backend="fresh",
-                   card_encoding=subject.card_encoding, lint=False,
+        return cls(subject.network, subject.problem, lint=False,
                    reference=subject.reference)
+
+    def _warm(self, spec: ResiliencySpec,
+              query: Callable[[IncrementalContext], _T]) -> _T:
+        """Run *query* on the cached context for *spec*'s key."""
+        key = EncodingKey(spec.property, spec.link_k is not None)
+
+        def build() -> IncrementalContext:
+            ctx = IncrementalContext(
+                self.network, self.problem, prop=key.prop,
+                model_links=key.model_links, reference=self.reference)
+            obs_event("engine.context_created", prop=key.prop.value,
+                      base_encode_time=ctx.base_encode_time)
+            return ctx
+
+        ctx = self.cache.get_or_create(key, build)
+        self._live_contexts.add(ctx)
+        if self._interrupt_requested:
+            ctx.interrupt()
+        try:
+            return query(ctx)
+        except ResourceLimitReached:
+            # A clean limit outcome leaves the shared solver consistent;
+            # the cached base encoding is worth keeping.
+            raise
+        except Exception:
+            # Anything else may have left the shared solver with
+            # partially-asserted state: evict the poisoned context so
+            # the next query re-encodes from scratch instead of
+            # inheriting corrupt state.
+            self.cache.invalidate(key)
+            raise
 
     # ------------------------------------------------------------------
 
@@ -133,22 +180,27 @@ class VerificationEngine:
                max_conflicts: Optional[int] = None,
                certify: bool = False,
                limits: Optional[Limits] = None) -> VerificationResult:
-        """Verify one resiliency specification via the active backend.
+        """Verify one resiliency specification on the engine's path.
 
         Semantics match :meth:`ScadaAnalyzer.verify
         <repro.core.analyzer.ScadaAnalyzer.verify>`; the result
-        additionally records the producing backend and per-query solver
-        statistics.  ``certify=True`` on the assumption backend falls
-        back to a fresh solve (proofs need an assumption-free solve)
-        and notes that in ``details["certify_fallback"]``.  ``limits``
-        bounds the solve; an expired budget yields an UNKNOWN result,
-        never a spurious verdict.
+        additionally records the path that answered (``backend``) and
+        per-query solver statistics.  ``certify=True`` always solves
+        on the fresh path, whose unsat answers carry a checked RUP
+        proof.  ``limits`` bounds the solve; an expired budget yields
+        an UNKNOWN result, never a spurious verdict.
         """
+        fresh = certify or self.backend_name == "fresh"
         with obs_span("query", spec=spec.describe(),
-                      backend=self.backend_name) as sp:
-            result = self._backend.verify(spec, minimize=minimize,
-                                          max_conflicts=max_conflicts,
-                                          certify=certify, limits=limits)
+                      backend="fresh" if fresh else "assumption") as sp:
+            if fresh:
+                result = self.analyzer.verify(
+                    spec, minimize=minimize, max_conflicts=max_conflicts,
+                    certify=certify, limits=limits)
+            else:
+                result = self._warm(spec, lambda ctx: ctx.verify(
+                    spec, minimize=minimize, max_conflicts=max_conflicts,
+                    limits=limits))
             sp.attrs["status"] = result.status.value
             sp.attrs["conflicts"] = int(result.stats.get("conflicts", 0))
             sp.attrs["restarts"] = int(result.stats.get("restarts", 0))
@@ -187,9 +239,13 @@ class VerificationEngine:
         :exc:`~repro.sat.ResourceLimitReached` is raised with the
         vectors found so far on its ``partial`` attribute.
         """
-        return self._backend.enumerate(spec, limit=limit, minimal=minimal,
-                                       max_conflicts=max_conflicts,
-                                       limits=limits)
+        if self.backend_name == "fresh":
+            return self.analyzer.enumerate_threat_vectors(
+                spec, limit=limit, minimal=minimal,
+                max_conflicts=max_conflicts, limits=limits)
+        return self._warm(spec, lambda ctx: ctx.enumerate(
+            spec, limit=limit, minimal=minimal,
+            max_conflicts=max_conflicts, limits=limits))
 
     # ------------------------------------------------------------------
     # Maximal-resiliency searches (galloping + binary, shared helper)
@@ -380,31 +436,20 @@ class VerificationEngine:
             "max-RTU-resiliency")
 
     # ------------------------------------------------------------------
-    # Model export (always through a fresh encoding)
+    # Model export (always through the fresh analyzer)
     # ------------------------------------------------------------------
-
-    def _exporter(self) -> ScadaAnalyzer:
-        analyzer = getattr(self._backend, "analyzer", None)
-        if isinstance(analyzer, ScadaAnalyzer):
-            return analyzer
-        if self._export_analyzer is None:
-            self._export_analyzer = ScadaAnalyzer(
-                self.network, self.problem,
-                card_encoding=self.card_encoding, lint=False,
-                reference=self.reference)
-        return self._export_analyzer
 
     def model_size(self, spec: ResiliencySpec) -> Dict[str, int]:
         """Encoded model size (vars/clauses) without solving."""
-        return self._exporter().model_size(spec)
+        return self.analyzer.model_size(spec)
 
     def export_cnf(self, spec: ResiliencySpec) -> Tuple[object, set]:
         """The Tseitin CNF of the threat model plus frozen variables."""
-        return self._exporter().export_cnf(spec)
+        return self.analyzer.export_cnf(spec)
 
     def export_smtlib(self, spec: ResiliencySpec) -> str:
         """The threat-verification model as an SMT-LIB 2 script."""
-        return self._exporter().export_smtlib(spec)
+        return self.analyzer.export_smtlib(spec)
 
     def __repr__(self) -> str:
         return (f"VerificationEngine({self.network.name!r}, "

@@ -156,8 +156,7 @@ def cross_check(network: ScadaNetwork,
                 problem: ObservabilityProblem,
                 properties: Optional[Sequence[Property]] = None,
                 r: int = 1,
-                limits: Optional[Limits] = None,
-                card_encoding: str = "totalizer") -> CrossCheckReport:
+                limits: Optional[Limits] = None) -> CrossCheckReport:
     """Run the graph oracle and the SAT engine against each other.
 
     Audits every unique-group security index and every state
@@ -174,7 +173,7 @@ def cross_check(network: ScadaNetwork,
                    "secured": structural.certified(True)})
 
     encoder = ModelEncoder(network, problem)
-    solver = Solver(card_encoding=card_encoding)
+    solver = Solver()
     solver.set_hooks(probe_for(current_tracer()))
     solver.add(*encoder.availability_axioms())
     solver.add(*encoder.delivery_definitions(secured=False))
@@ -239,9 +238,7 @@ def cross_check(network: ScadaNetwork,
             report.state_criticality[mode] = crits
 
         engine = VerificationEngine(network, problem,
-                                    backend="assumption",
-                                    card_encoding=card_encoding,
-                                    lint=False)
+                                    backend="assumption", lint=False)
         n_field = len(network.field_device_ids)
         for prop in props:
             bounds = structural.attack_bounds(prop, r=r)

@@ -6,9 +6,9 @@ space one step past the certificate, breach-point ranking, cheapest
 attack, and hardening suggestions — into a single Markdown document.
 Exposed on the CLI as ``python -m repro report <config>``.
 
-All verification runs through one :class:`~repro.engine.VerificationEngine`
-(``backend=`` selects the strategy); with ``jobs > 1`` the per-property
-maximal-resiliency searches fan out across a process pool.
+All verification runs through one fresh-path
+:class:`~repro.engine.VerificationEngine`; with ``jobs > 1`` the
+per-property maximal-resiliency searches fan out across a process pool.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class _MaximaTask:
     network: ScadaNetwork
     problem: ObservabilityProblem
     prop: Property
-    backend: str
     limits: Optional[Limits] = None
 
 
@@ -54,7 +53,7 @@ def _maxima_task(
 ) -> Tuple[SearchBounds, SearchBounds, SearchBounds]:
     # Workers skip linting: the parent engine already linted the config.
     engine = VerificationEngine(task.network, task.problem,
-                                backend=task.backend, lint=False)
+                                backend="fresh", lint=False)
     return (engine.max_total_resiliency_bounds(task.prop,
                                                limits=task.limits),
             engine.max_ied_resiliency_bounds(task.prop,
@@ -67,7 +66,6 @@ def audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
                  threat_limit: int = 100,
                  include_hardening: bool = True,
                  include_attack_cost: bool = True,
-                 backend: str = "fresh",
                  jobs: int = 1,
                  limits: Optional[Limits] = None) -> str:
     """Produce a Markdown resiliency-audit report for one configuration.
@@ -78,17 +76,17 @@ def audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
     the exhausted budget — the report never upgrades an UNKNOWN to a
     verdict.
     """
-    with obs_span("report", backend=backend, jobs=jobs):
+    with obs_span("report", jobs=jobs):
         return _audit_report(network, problem, threat_limit,
                              include_hardening, include_attack_cost,
-                             backend, jobs, limits)
+                             jobs, limits)
 
 
 def _audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
                   threat_limit: int, include_hardening: bool,
-                  include_attack_cost: bool, backend: str, jobs: int,
+                  include_attack_cost: bool, jobs: int,
                   limits: Optional[Limits]) -> str:
-    engine = VerificationEngine(network, problem, backend=backend)
+    engine = VerificationEngine(network, problem, backend="fresh")
     out = io.StringIO()
 
     out.write(f"# SCADA resiliency audit — {network.name}\n\n")
@@ -116,7 +114,7 @@ def _audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
     maxima = {}
     inexact_maxima = False
     if jobs > 1:
-        tasks = [_MaximaTask(network, problem, prop, backend, limits)
+        tasks = [_MaximaTask(network, problem, prop, limits)
                  for prop in props]
         triples = SweepExecutor(jobs).map(_maxima_task, tasks)
     else:
@@ -198,7 +196,7 @@ def _audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
             try:
                 repair = harden(network, problem, target,
                                 max_repairs=2, max_verify_calls=400,
-                                backend=backend, limits=limits)
+                                limits=limits)
             except RuntimeError:
                 out.write(f"- {target.describe()}: repair search budget "
                           f"exhausted\n")

@@ -25,6 +25,7 @@ treats ``UNKNOWN`` as a certificate (see ``docs/FORMAL_MODEL.md``).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -70,12 +71,14 @@ class Limits:
     max_memory_mb: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # NaN passes a plain ``< 0`` check and then wins every min() in
+        # merged(), turning a tenant ceiling into no bound at all.
         for name in ("max_time", "max_conflicts",
                      "max_propagations", "max_memory_mb"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative, "
-                                 f"got {value!r}")
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite non-negative "
+                                 f"number, got {value!r}")
 
     @property
     def unbounded(self) -> bool:

@@ -93,12 +93,8 @@ class ServiceClient:
 
     # -- sessions -------------------------------------------------------
 
-    def open_session(self, config_text: str,
-                     backend: Optional[str] = None) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"config": config_text}
-        if backend is not None:
-            payload["backend"] = backend
-        return self.request("POST", "/sessions", payload)
+    def open_session(self, config_text: str) -> Dict[str, Any]:
+        return self.request("POST", "/sessions", {"config": config_text})
 
     def invalidate(self, session_id: str) -> Dict[str, Any]:
         return self.request("DELETE", f"/sessions/{session_id}")
@@ -115,12 +111,11 @@ class ServiceClient:
                session: Optional[str] = None,
                spec: Optional[Dict[str, Any]] = None,
                limits: Optional[Dict[str, Any]] = None,
-               minimize: bool = True, wait: bool = True,
-               backend: Optional[str] = None) -> Dict[str, Any]:
+               minimize: bool = True,
+               wait: bool = True) -> Dict[str, Any]:
         return self._solve("/verify", {
             "config": config, "session": session, "spec": spec,
             "limits": limits, "minimize": minimize, "wait": wait,
-            "backend": backend,
         })
 
     def enumerate_vectors(self, *, config: Optional[str] = None,
@@ -128,13 +123,12 @@ class ServiceClient:
                           spec: Optional[Dict[str, Any]] = None,
                           limits: Optional[Dict[str, Any]] = None,
                           limit: Optional[int] = None,
-                          minimal: bool = True, wait: bool = True,
-                          backend: Optional[str] = None
-                          ) -> Dict[str, Any]:
+                          minimal: bool = True,
+                          wait: bool = True) -> Dict[str, Any]:
         return self._solve("/enumerate", {
             "config": config, "session": session, "spec": spec,
             "limits": limits, "limit": limit, "minimal": minimal,
-            "wait": wait, "backend": backend,
+            "wait": wait,
         })
 
     def max_resiliency(self, *, config: Optional[str] = None,
@@ -142,12 +136,11 @@ class ServiceClient:
                        prop: Optional[str] = None,
                        limits: Optional[Dict[str, Any]] = None,
                        screen: bool = True, cold: bool = False,
-                       wait: bool = True,
-                       backend: Optional[str] = None) -> Dict[str, Any]:
+                       wait: bool = True) -> Dict[str, Any]:
         return self._solve("/max-resiliency", {
             "config": config, "session": session, "property": prop,
             "limits": limits, "screen": screen, "cold": cold,
-            "wait": wait, "backend": backend,
+            "wait": wait,
         })
 
     # -- watches --------------------------------------------------------
@@ -158,13 +151,11 @@ class ServiceClient:
     def open_watch(self, *, config: Optional[str] = None,
                    session: Optional[str] = None,
                    floors: Optional[list] = None,
-                   backend: Optional[str] = None,
-                   limits: Optional[Dict[str, Any]] = None,
-                   engine_cache: Optional[int] = None) -> Dict[str, Any]:
+                   limits: Optional[Dict[str, Any]] = None
+                   ) -> Dict[str, Any]:
         payload = {name: value for name, value in {
             "config": config, "session": session, "floors": floors,
-            "backend": backend, "limits": limits,
-            "engine_cache": engine_cache,
+            "limits": limits,
         }.items() if value is not None}
         return self.request("POST", "/watch", payload)
 

@@ -48,7 +48,7 @@ _R = TypeVar("_R")
 
 
 def max_search_task(
-    task: Tuple[str, str, str, str, Optional[Limits], bool],
+    task: Tuple[str, str, str, Optional[Limits], bool],
 ) -> SearchBounds:
     """Worker: one maximal-resiliency search on inline config text.
 
@@ -56,10 +56,10 @@ def max_search_task(
     but parses the configuration from the request body the daemon
     received.  Lint already ran when the session was opened.
     """
-    config_text, prop_value, kind, backend, limits, screen = task
+    config_text, prop_value, kind, limits, screen = task
     config = parse_config(config_text, strict=False)
     engine = VerificationEngine(config.network, config.problem,
-                                backend=backend, lint=False)
+                                backend="assumption", lint=False)
     prop = Property(prop_value)
     if kind == "total":
         return engine.max_total_resiliency_bounds(prop, limits=limits,
@@ -74,7 +74,6 @@ def max_search_task(
 def sweep_max_searches(
     config_text: str,
     prop_value: str,
-    backend: str,
     limits: Optional[Limits],
     screen: bool,
     jobs: int,
@@ -88,7 +87,7 @@ def sweep_max_searches(
     per-task timeouts).  Telemetry flows into whatever tracer is active
     on the *calling* thread, i.e. the job's.
     """
-    tasks = [(config_text, prop_value, kind, backend, limits, screen)
+    tasks = [(config_text, prop_value, kind, limits, screen)
              for kind in ("total", "ied", "rtu")]
     total, ied, rtu = SweepExecutor(jobs=min(jobs, 3)).map(
         max_search_task, tasks, timeout=timeout, retries=1,

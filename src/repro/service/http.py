@@ -15,7 +15,7 @@ Endpoints::
     GET    /healthz              liveness + version
     GET    /metrics              schema-valid metrics record (JSON)
     GET    /sessions             warm sessions + pool counters
-    POST   /sessions             open/warm a session  {config, backend?}
+    POST   /sessions             open/warm a session  {config}
     DELETE /sessions/{id}        invalidate (drop warm contexts)
     POST   /verify               submit a verify job
     POST   /enumerate            submit an enumeration job
@@ -27,7 +27,7 @@ Endpoints::
     GET    /jobs/{id}/trace      the job's JSONL trace
     GET    /watch                live watches + pool counters
     POST   /watch                attach a watcher  {config|session,
-                                 floors?, backend?, limits?}
+                                 floors?, limits?}
     GET    /watch/{id}           one watch (verdicts, state, alarms)
     POST   /watch/{id}/events    apply a batch of stream events
     POST   /events               the same, with {"watch": id} inline
@@ -41,7 +41,9 @@ plus ``spec``/``limits`` objects (see :mod:`.protocol`), ``tenant``
 (or an ``X-Tenant`` header), and ``"wait": true`` to hold the
 connection until the verdict.  A waiting client that disconnects
 triggers cooperative cancellation *iff* nobody else is attached to the
-job — coalesced twins and poll-mode submitters keep it alive.
+job — coalesced twins and poll-mode submitters keep it alive.  The
+server picks the verification path: a request naming ``backend`` or
+``engine_cache`` is refused with 400 ``bad-request``.
 
 Every request is timed into a per-route latency histogram
 (``service.http.<METHOD> <route>`` in milliseconds), and every job
@@ -82,9 +84,9 @@ from .jobs import (
 from .protocol import (
     JobKind,
     ServiceError,
-    backend_from_payload,
     limits_from_payload,
     limits_key,
+    reject_removed_fields,
     spec_from_payload,
 )
 from .sessions import Session, SessionManager
@@ -134,9 +136,6 @@ class ReproService:
     def __init__(self, host: str = "127.0.0.1", port: int = 8321,
                  jobs: Optional[int] = None,
                  max_sessions: int = 8,
-                 backend: str = "assumption",
-                 card_encoding: str = "totalizer",
-                 contexts_per_session: int = 8,
                  queue_limit: int = 64,
                  default_policy: Optional[TenantPolicy] = None,
                  tenants: Optional[Mapping[str, TenantPolicy]] = None,
@@ -146,10 +145,7 @@ class ReproService:
         self.port = port
         self.registry = MetricsRegistry()
         self.bridge = ExecutorBridge(jobs=jobs)
-        self.sessions = SessionManager(
-            maxsize=max_sessions, backend=backend,
-            card_encoding=card_encoding,
-            contexts_per_session=contexts_per_session)
+        self.sessions = SessionManager(maxsize=max_sessions)
         self.jobs = JobManager(
             self.bridge, self.registry, queue_limit=queue_limit,
             default_policy=default_policy, tenants=tenants)
@@ -300,6 +296,7 @@ class ReproService:
         method, path, payload = (request.method, request.path,
                                  request.payload)
         parts = [p for p in path.split("/") if p]
+        reject_removed_fields(payload)
         tenant = request.headers.get(
             "x-tenant", str(payload.get("tenant", "anonymous")))
         if not parts:
@@ -406,15 +403,13 @@ class ReproService:
         if not isinstance(config_text, str) or not config_text.strip():
             raise ServiceError(400, "bad-request",
                                "provide 'config' (configuration text)")
-        backend = backend_from_payload(payload.get("backend"),
-                                       self.sessions.backend)
         lint = bool(payload.get("lint", True))
 
         # Parse + lint + engine construction can take seconds on a big
         # grid — off the event loop, onto the pool.
         def build() -> Tuple[Session, bool]:
             config = self.sessions.parse(config_text)
-            return self.sessions.open(config, backend=backend, lint=lint)
+            return self.sessions.open(config, lint=lint)
 
         return await self.bridge.run(build)
 
@@ -433,10 +428,10 @@ class ReproService:
     async def _submit(self, endpoint: str, payload: Dict[str, Any],
                       tenant: str, reader: asyncio.StreamReader
                       ) -> Optional[_Response]:
-        session = await self._resolve_session(payload)
         policy = self.jobs.policy_for(tenant)
         limits = policy.effective_limits(
             limits_from_payload(payload.get("limits")))
+        session = await self._resolve_session(payload)
         wait = bool(payload.get("wait", False))
         engine = session.engine
         kind: JobKind
@@ -478,18 +473,8 @@ class ReproService:
                     f"unknown property {prop_value!r}") from None
             screen = bool(payload.get("screen", True))
             cold = bool(payload.get("cold", False))
-            # The cold lane rebuilds engines in worker processes, so a
-            # job may request a different backend than the session's.
-            job_backend = backend_from_payload(payload.get("backend"),
-                                               session.backend)
-            if not cold and job_backend != session.backend:
-                raise ServiceError(
-                    400, "bad-request",
-                    "a per-job 'backend' override needs \"cold\": true "
-                    "— warm jobs run on the session's engine "
-                    f"({session.backend!r})")
             key = (session.session_id, "max", prop, limits_key(limits),
-                   screen, cold, job_backend)
+                   screen, cold)
             spec_text = f"max-resiliency {prop.value}"
             if cold:
                 config_text = payload.get("config")
@@ -499,7 +484,7 @@ class ReproService:
                         "cold max-resiliency needs inline 'config' "
                         "text (worker processes rebuild the engine)")
                 fn = max_resiliency_sweep_fn(
-                    config_text, prop, job_backend, limits, screen,
+                    config_text, prop, limits, screen,
                     self.bridge.workers)
                 # Process-pool workers are beyond cooperative
                 # interrupt; cancellation only skips queued jobs.
@@ -620,8 +605,6 @@ class ReproService:
                                    "'session' must be a string id")
             session = self.sessions.get(session_id)
             config = session.config
-            backend = backend_from_payload(payload.get("backend"),
-                                           session.backend)
             attached = session.session_id
         else:
             config_text = payload.get("config")
@@ -631,8 +614,6 @@ class ReproService:
                     400, "bad-request",
                     "provide 'config' (configuration text) or "
                     "'session' (a warm session id)")
-            backend = backend_from_payload(payload.get("backend"),
-                                           self.sessions.backend)
             config = await self.bridge.run(self.sessions.parse,
                                            config_text)
             attached = None
@@ -640,17 +621,9 @@ class ReproService:
         policy = self.jobs.policy_for(tenant)
         limits = policy.effective_limits(
             limits_from_payload(payload.get("limits")))
-        engine_cache = payload.get("engine_cache", 4)
-        if not isinstance(engine_cache, int) \
-                or isinstance(engine_cache, bool) or engine_cache < 1:
-            raise ServiceError(400, "bad-request",
-                               "'engine_cache' must be a positive "
-                               "integer")
         watch = await self.watchers.create(
-            config, floors, backend=backend,
-            card_encoding=self.sessions.card_encoding,
-            limits=limits, engine_cache=engine_cache,
-            tenant=tenant, session_id=attached)
+            config, floors, limits=limits, tenant=tenant,
+            session_id=attached)
         self.registry.count("service.watchers.attached")
         return _Response.json(200, {
             "watch": watch.watch_id,

@@ -273,7 +273,7 @@ def max_resiliency_fn(session: Session, prop: Property,
 
 
 def max_resiliency_sweep_fn(config_text: str, prop: Property,
-                            backend: str, limits: Optional[Limits],
+                            limits: Optional[Limits],
                             screen: bool,
                             jobs: int) -> Callable[[], Dict[str, Any]]:
     """Cold-lane body: the three searches fanned over a process pool.
@@ -285,7 +285,7 @@ def max_resiliency_sweep_fn(config_text: str, prop: Property,
 
     def fn() -> Dict[str, Any]:
         total, ied, rtu = sweep_max_searches(
-            config_text, prop.value, backend, limits, screen, jobs)
+            config_text, prop.value, limits, screen, jobs)
         return max_resiliency_payload(prop.value, total, ied, rtu)
 
     return fn

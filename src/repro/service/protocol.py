@@ -15,12 +15,12 @@ and a script driving ``repro verify`` branch on the same values.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.results import Status, ThreatVector, VerificationResult
 from ..core.search import SearchBounds
 from ..core.specs import Property, ResiliencySpec
-from ..engine.backends import check_backend
 from ..sat.limits import Limits
 
 __all__ = [
@@ -30,12 +30,12 @@ __all__ = [
     "JobKind",
     "JobState",
     "ServiceError",
-    "backend_from_payload",
     "bounds_payload",
     "cancelled_payload",
     "limits_from_payload",
     "limits_key",
     "max_resiliency_payload",
+    "reject_removed_fields",
     "result_payload",
     "spec_from_payload",
     "threat_payload",
@@ -133,20 +133,24 @@ def spec_from_payload(payload: Mapping[str, Any]) -> ResiliencySpec:
         raise ServiceError(400, "bad-spec", str(exc)) from None
 
 
-def backend_from_payload(value: Any, default: str) -> str:
-    """The backend a request names (*default* when absent).
+#: Request fields the service no longer accepts: the server picks the
+#: verification path and sizes each watcher's engine pool itself.
+REMOVED_FIELDS = ("backend", "engine_cache")
 
-    Raises :class:`ServiceError` (400) for a non-string or unknown
-    name before any parse, lint or engine work is spent on the request.
+
+def reject_removed_fields(payload: Mapping[str, Any]) -> None:
+    """Refuse a request naming a :data:`REMOVED_FIELDS` entry.
+
+    Raises :class:`ServiceError` (400) before any parse, lint or engine
+    work is spent on the request, so a client relying on the field
+    learns it is gone instead of having it silently ignored.  Other
+    unknown fields stay ignored.
     """
-    if value is None:
-        return default
-    if not isinstance(value, str):
-        raise ServiceError(400, "bad-request", "'backend' must be a string")
-    try:
-        return check_backend(value)
-    except ValueError as exc:
-        raise ServiceError(400, "bad-request", str(exc)) from None
+    for name in REMOVED_FIELDS:
+        if name in payload:
+            raise ServiceError(400, "bad-request",
+                               f"field {name!r} is not accepted: the "
+                               f"server chooses it")
 
 
 def limits_from_payload(
@@ -175,10 +179,10 @@ def limits_from_payload(
         if value is None:
             continue
         if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or value < 0:
+                or not 0 <= value < math.inf:
             raise ServiceError(400, "bad-limits",
-                               f"limit {field!r} must be a non-negative "
-                               f"number, got {value!r}")
+                               f"limit {field!r} must be a finite "
+                               f"non-negative number, got {value!r}")
         values[field] = value
     if not values:
         return None

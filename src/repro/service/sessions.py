@@ -4,7 +4,7 @@ A *session* is everything the engine accumulates for one SCADA
 configuration that is worth keeping between requests: the lint verdict
 (run once, at session creation), the shared
 :class:`~repro.core.reference.ReferenceEvaluator`, and — through the
-session-owned :class:`~repro.engine.EncodingCache` — the warm
+engine's :class:`~repro.engine.EncodingCache` — the warm
 :class:`~repro.core.incremental.IncrementalContext`\\ s whose base
 encodings and learned clauses make repeat traffic cheap.  Before the
 service existed this state was constructed inline per CLI process and
@@ -12,12 +12,11 @@ thrown away on exit; here it is extracted into an LRU-managed pool the
 daemon owns.
 
 Sessions are keyed by a digest of the configuration's *semantic*
-fingerprints (network + problem, plus the backend and cardinality
-encoding that shape the cached contexts), so two clients POSTing
+fingerprints (network + problem), so two clients POSTing
 byte-different but semantically identical configs land on the same
-warm session.
+warm session.  Every session engine runs on the ``assumption`` path.
 
-Eviction drops a session *cleanly*: its encoding cache is cleared so
+Eviction drops a session *cleanly*: its engine's cache is cleared so
 every warm context (each owning a full solver) is released in one step,
 and in-flight jobs holding a reference to the session's engine finish
 against their own reference — the LRU only forgets the *routing* entry.
@@ -30,10 +29,9 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..core.analyzer import ConfigurationLintError
-from ..engine.cache import EncodingCache
 from ..engine.engine import VerificationEngine
 from ..scada.config_io import CaseConfig, ConfigError, parse_config
 from .protocol import ServiceError
@@ -50,7 +48,6 @@ class Session:
     engine: VerificationEngine
     network_fingerprint: str
     problem_fingerprint: str
-    backend: str
     created: float
     last_used: float
     queries: int = 0
@@ -71,7 +68,6 @@ class Session:
         }
         return {
             "session": self.session_id,
-            "backend": self.backend,
             "queries": self.queries,
             "devices": len(self.config.network.devices),
             "states": self.config.problem.num_states,
@@ -79,7 +75,6 @@ class Session:
             "cache": {
                 "hits": self.engine.cache.hits,
                 "misses": self.engine.cache.misses,
-                "evictions": self.engine.cache.evictions,
             },
             "solver": solver,
             "age_s": round(time.monotonic() - self.created, 3),
@@ -90,23 +85,17 @@ class Session:
 class SessionManager:
     """LRU pool of warm sessions, safe to share across threads.
 
-    ``maxsize`` bounds the number of *sessions*; each session's own
-    :class:`EncodingCache` (``contexts_per_session``) bounds the warm
-    contexts — and therefore live solvers — it may hold.  Session
-    creation (parse + lint + engine construction) happens on executor
-    threads, so every public method takes the manager lock.
+    ``maxsize`` bounds the number of *sessions*; each session engine
+    holds at most one warm context (and so one live solver) per
+    property and link-modeling choice.  Session creation (parse +
+    lint + engine construction) happens on executor threads, so every
+    public method takes the manager lock.
     """
 
-    def __init__(self, maxsize: int = 8,
-                 backend: str = "assumption",
-                 card_encoding: str = "totalizer",
-                 contexts_per_session: int = 8) -> None:
+    def __init__(self, maxsize: int = 8) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
-        self.backend = backend
-        self.card_encoding = card_encoding
-        self.contexts_per_session = contexts_per_session
         self.created = 0
         self.reused = 0
         self.evicted = 0
@@ -120,14 +109,12 @@ class SessionManager:
 
     # ------------------------------------------------------------------
 
-    def fingerprint(self, config: CaseConfig,
-                    backend: Optional[str] = None) -> Tuple[str, str, str]:
+    def fingerprint(self, config: CaseConfig) -> Tuple[str, str, str]:
         """(session id, network fp, problem fp) for a configuration."""
         network_fp = config.network.fingerprint()
         problem_fp = config.problem.fingerprint()
         digest = hashlib.sha256()
-        for part in (network_fp, problem_fp, backend or self.backend,
-                     self.card_encoding):
+        for part in (network_fp, problem_fp):
             digest.update(part.encode("utf-8"))
             digest.update(b"\0")
         return digest.hexdigest()[:16], network_fp, problem_fp
@@ -142,7 +129,6 @@ class SessionManager:
             raise ServiceError(400, "bad-config", str(exc)) from None
 
     def open(self, config: CaseConfig,
-             backend: Optional[str] = None,
              lint: bool = True) -> Tuple[Session, bool]:
         """The warm session for *config*, creating it if needed.
 
@@ -151,9 +137,7 @@ class SessionManager:
         session to stay within ``maxsize``.  Raises
         :class:`ServiceError` (422) when the configuration fails lint.
         """
-        backend = backend or self.backend
-        session_id, network_fp, problem_fp = self.fingerprint(
-            config, backend)
+        session_id, network_fp, problem_fp = self.fingerprint(config)
         with self._lock:
             session = self._sessions.get(session_id)
             if session is not None:
@@ -168,9 +152,8 @@ class SessionManager:
         # dropped before it ever solved anything.
         try:
             engine = VerificationEngine(
-                config.network, config.problem, backend=backend,
-                card_encoding=self.card_encoding, lint=lint,
-                cache=EncodingCache(maxsize=self.contexts_per_session))
+                config.network, config.problem, backend="assumption",
+                lint=lint)
         except ConfigurationLintError as exc:
             raise ServiceError(
                 422, "lint-failed",
@@ -181,7 +164,7 @@ class SessionManager:
         session = Session(
             session_id=session_id, config=config, engine=engine,
             network_fingerprint=network_fp, problem_fingerprint=problem_fp,
-            backend=backend, created=now, last_used=now)
+            created=now, last_used=now)
         with self._lock:
             existing = self._sessions.get(session_id)
             if existing is not None:
@@ -212,7 +195,7 @@ class SessionManager:
         """Explicitly drop one session and its warm contexts.
 
         The operator's signal that the underlying grid changed: the
-        session's encoding cache is cleared (releasing every warm
+        session engine's cache is cleared (releasing every warm
         solver) and the id forgotten, so the next request with the same
         configuration builds a fresh session.  True when something was
         dropped.
@@ -233,7 +216,7 @@ class SessionManager:
 
     @staticmethod
     def _drop(session: Session) -> None:
-        # Clearing the session-owned cache releases every warm context
+        # Clearing the engine's cache releases every warm context
         # (each holding a full solver) in one step.  The engine object
         # itself may still be referenced by an in-flight job, which
         # finishes against its own reference and is then collected.

@@ -148,10 +148,7 @@ class WatcherManager:
 
     async def create(self, config: CaseConfig,
                      floors: Sequence[ResiliencySpec],
-                     backend: str = "assumption",
-                     card_encoding: str = "totalizer",
                      limits: Optional[Limits] = None,
-                     engine_cache: int = 4,
                      tenant: str = "anonymous",
                      session_id: Optional[str] = None) -> LiveWatch:
         """Build a watcher (baseline pass included) and register it."""
@@ -163,7 +160,6 @@ class WatcherManager:
         self._counter += 1
         watch_id = f"w{self._counter:06d}"
         meta = {"kind": "watch", "watch": watch_id, "tenant": tenant,
-                "backend": backend,
                 "floors": [spec.describe() for spec in floors]}
         # The watch's long-lived tracer: the attach hop's baseline
         # spans land in it first, every ingest's records follow.
@@ -171,10 +167,7 @@ class WatcherManager:
         try:
             watcher = await self._traced(
                 dict(meta, step="attach"),
-                lambda: Watcher(config, floors, backend=backend,
-                                card_encoding=card_encoding,
-                                limits=limits,
-                                engine_cache=engine_cache),
+                lambda: Watcher(config, floors, limits=limits),
                 into=tracer)
         except StreamError as exc:
             raise ServiceError(400, "bad-watch", str(exc)) from None

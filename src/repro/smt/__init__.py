@@ -6,14 +6,7 @@ counting sums over Booleans) maps onto terms here one-to-one.
 """
 
 from ..sat.limits import LimitReason, Limits, ResourceLimitReached
-from .cardinality import (
-    CardinalityCounter,
-    ClauseSink,
-    SequentialCounter,
-    Totalizer,
-    encode_at_least_sequential,
-    encode_at_most_sequential,
-)
+from .cardinality import CardinalityCounter, ClauseSink, Totalizer
 from .smtlib import term_to_sexpr, to_smtlib
 from .solver import BudgetHandle, Model, Result, Solver, SolverStatistics
 from .terms import (
@@ -44,8 +37,6 @@ __all__ = [
     "BudgetHandle", "CardTerm", "CardinalityCounter", "ClauseSink",
     "Encoder", "Exactly", "FALSE", "Iff", "Implies", "Ite",
     "LimitReason", "Limits", "Model", "Not", "Or", "ResourceLimitReached",
-    "Result", "SequentialCounter", "Solver",
-    "SolverStatistics", "TRUE",
-    "Term", "Totalizer", "Xor", "encode_at_least_sequential", "term_to_sexpr", "to_smtlib",
-    "encode_at_most_sequential", "evaluate",
+    "Result", "Solver", "SolverStatistics", "TRUE", "Term", "Totalizer",
+    "Xor", "evaluate", "term_to_sexpr", "to_smtlib",
 ]

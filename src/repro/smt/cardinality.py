@@ -5,34 +5,26 @@ failure budget (``N - Σ Node_i ≤ k``), the unique-measurement count
 (``Σ DelUMsr_E ≥ n``), and bad-data redundancy (``Σ SE_{X,Z} ≥ r + 1``).
 These are compiled to CNF here.
 
-Two encodings are provided:
+The encoding is :class:`Totalizer` — Bailleux & Boulier's unary
+totalizer, truncated at the needed bound (*k-simplification*).  It is
+*bidirectional*: output ``o_j`` is true **iff** at least ``j`` inputs
+are true (with ``o_bound`` meaning "at least bound").  Bidirectionality
+lets cardinality atoms appear under any polarity in a formula.
 
-* :class:`Totalizer` — Bailleux & Boulier's unary totalizer, truncated at
-  the needed bound (*k-simplification*).  The encoding is
-  *bidirectional*: output ``o_j`` is true **iff** at least ``j`` inputs
-  are true (with ``o_bound`` meaning "at least bound").  Bidirectionality
-  lets cardinality atoms appear under any polarity in a formula.
-* :class:`SequentialCounter` — Sinz's sequential counter built to the
-  same bidirectional contract, kept as the ablation baseline for the
-  encoding-choice benchmark.  (:func:`encode_at_most_sequential` /
-  :func:`encode_at_least_sequential` are the assert-only variants.)
-
-Both counters are **extendable**: :meth:`CardinalityCounter.raise_bound`
-grows the output chain *in place*, reusing every existing merge node
-and register cell, so a budget sweep (or a galloping search that
-overshoots) never rebuilds the tree.  The clauses added while the bound
-was lower stay in the formula — they are sound (a count that saturated
-at the old top output still implies that output) and merely redundant
-next to the sharper clauses added for the new outputs.
+The counter is **extendable**: :meth:`CardinalityCounter.raise_bound`
+grows the output chain *in place*, reusing every existing merge node,
+so a budget sweep (or a galloping search that overshoots) never
+rebuilds the tree.  The clauses added while the bound was lower stay
+in the formula — they are sound (a count that saturated at the old top
+output still implies that output) and merely redundant next to the
+sharper clauses added for the new outputs.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Protocol, Sequence
 
-__all__ = ["ClauseSink", "CardinalityCounter", "Totalizer",
-           "SequentialCounter", "encode_at_most_sequential",
-           "encode_at_least_sequential"]
+__all__ = ["ClauseSink", "CardinalityCounter", "Totalizer"]
 
 
 class ClauseSink(Protocol):
@@ -51,7 +43,7 @@ class ClauseSink(Protocol):
 
 
 class CardinalityCounter:
-    """Common contract of the unary counters.
+    """Common contract of a unary counter.
 
     ``outputs[j-1]`` (1-based count *j*) is a literal that is true iff
     at least ``j`` of the inputs are true, for every ``j`` up to
@@ -80,9 +72,9 @@ class CardinalityCounter:
     def raise_bound(self, new_bound: int) -> None:
         """Grow the output chain in place to ``min(new_bound, n)``.
 
-        Existing merge nodes (register cells) and output literals are
-        reused untouched — ``outputs[:old_bound]`` is unchanged — and
-        only the defining clauses of the *new* outputs are added.
+        Existing merge nodes and output literals are reused untouched —
+        ``outputs[:old_bound]`` is unchanged — and only the defining
+        clauses of the *new* outputs are added.
         Lowering the bound is a no-op: the counter already answers every
         query below its bound.
         """
@@ -187,107 +179,3 @@ class Totalizer(CardinalityCounter):
                     clause.append(right[j])
                 cnf.add_clause(clause)
 
-
-def encode_at_most_sequential(cnf: ClauseSink, lits: Sequence[int],
-                              k: int) -> None:
-    """Assert ``sum(lits) <= k`` with Sinz's sequential counter.
-
-    This *asserts* the constraint (adds clauses that are falsified by any
-    assignment with more than *k* true inputs); it does not produce a
-    reified literal, so it is only usable for top-level constraints.
-    """
-    n = len(lits)
-    if k < 0:
-        cnf.add_clause([])  # unsatisfiable
-        return
-    if k >= n:
-        return
-    if k == 0:
-        for lit in lits:
-            cnf.add_clause([-lit])
-        return
-    # s[i][j] = at least j+1 of the first i+1 inputs are true.
-    s = [[cnf.new_var() for _ in range(k)] for _ in range(n)]
-    cnf.add_clause([-lits[0], s[0][0]])
-    for j in range(1, k):
-        cnf.add_clause([-s[0][j]])
-    for i in range(1, n):
-        cnf.add_clause([-lits[i], s[i][0]])
-        cnf.add_clause([-s[i - 1][0], s[i][0]])
-        for j in range(1, k):
-            cnf.add_clause([-lits[i], -s[i - 1][j - 1], s[i][j]])
-            cnf.add_clause([-s[i - 1][j], s[i][j]])
-        cnf.add_clause([-lits[i], -s[i - 1][k - 1]])
-
-
-def encode_at_least_sequential(cnf: ClauseSink, lits: Sequence[int],
-                               k: int) -> None:
-    """Assert ``sum(lits) >= k`` via the dual at-most on negations."""
-    n = len(lits)
-    if k <= 0:
-        return
-    if k > n:
-        cnf.add_clause([])
-        return
-    encode_at_most_sequential(cnf, [-lit for lit in lits], n - k)
-
-
-class SequentialCounter(CardinalityCounter):
-    """A truncated, bidirectional, extendable sequential counter.
-
-    Same contract as :class:`Totalizer` — ``outputs[j-1]`` is true iff
-    at least ``j`` inputs are true — but built as a Sinz-style register
-    grid instead of a balanced merge tree.  ``_rows[i][j-1]`` holds the
-    literal for "at least *j* of the first *i+1* inputs"; unreachable
-    counts (``j > i+1``) are simply absent from the row, and reads past
-    a row's end come back as ``None`` (count impossible, treated as
-    false).  The full grid is retained so :meth:`raise_bound` appends
-    the missing high-count cells row by row without rebuilding.
-    """
-
-    def _build(self) -> None:
-        self._rows: List[List[int]] = [[] for _ in self.lits]
-        self._fill(self.bound)
-
-    def _grow(self, new_bound: int) -> None:
-        self._fill(new_bound)
-
-    def _fill(self, bound: int) -> None:
-        """Extend every row to ``min(i+1, bound)`` cells."""
-        for i, row in enumerate(self._rows):
-            top = min(i + 1, bound)
-            for j in range(len(row) + 1, top + 1):
-                row.append(self._define_cell(i, j))
-        self.outputs = list(self._rows[-1])
-
-    def _define_cell(self, i: int, j: int) -> int:
-        """A literal for "at least *j* of the first *i+1* inputs"."""
-        x = self.lits[i]
-        if i == 0:
-            return x  # j == 1: "at least one of the first one"
-        cnf = self.cnf
-        prev = self._rows[i - 1]
-        # "at least j of the first i" — absent (False) when j > i.
-        prev_same: Optional[int] = prev[j - 1] if j - 1 < len(prev) else None
-        s = cnf.new_var()
-        if j == 1:
-            # "at least j-1 of the first i" is trivially true:
-            # s ↔ prev_same ∨ x.
-            assert prev_same is not None
-            cnf.add_clause([-s, prev_same, x])
-            cnf.add_clause([s, -prev_same])
-            cnf.add_clause([s, -x])
-            return s
-        prev_less: int = prev[j - 2]  # reachable: j - 1 <= i
-        if prev_same is None:
-            # s ↔ x ∧ prev_less
-            cnf.add_clause([-s, x])
-            cnf.add_clause([-s, prev_less])
-            cnf.add_clause([s, -x, -prev_less])
-        else:
-            # s ↔ prev_same ∨ (x ∧ prev_less)
-            cnf.add_clause([-s, prev_same, x])
-            cnf.add_clause([-s, prev_same, prev_less])
-            cnf.add_clause([s, -prev_same])
-            cnf.add_clause([s, -x, -prev_less])
-        return s

@@ -180,12 +180,11 @@ class Solver:
     with no per-query encoding and full learned-clause reuse.
     """
 
-    def __init__(self, card_encoding: str = "totalizer",
-                 produce_proof: bool = False) -> None:
+    def __init__(self, produce_proof: bool = False) -> None:
         self._sat = SatSolver()
         if produce_proof:
             self._sat.enable_proof()
-        self._encoder = Encoder(self._sat, card_encoding=card_encoding)
+        self._encoder = Encoder(self._sat)
         self._selectors: List[int] = []
         self._budget_handles: Dict[str, BudgetHandle] = {}
         self._assertions: List[List[Term]] = [[]]

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .cardinality import (
-    CardinalityCounter, ClauseSink, SequentialCounter, Totalizer,
-)
+from .cardinality import CardinalityCounter, ClauseSink, Totalizer
 from .terms import (
     AndTerm, BoolVal, BoolVar, CardTerm, IteTerm, NotTerm, OrTerm, Term,
     XorTerm,
@@ -28,22 +26,10 @@ __all__ = ["Encoder"]
 
 
 class Encoder:
-    """Incremental Tseitin encoder with structural hash-consing.
+    """Incremental Tseitin encoder with structural hash-consing."""
 
-    ``card_encoding`` selects how cardinality atoms are compiled:
-    ``"totalizer"`` (default, a balanced merge tree) or ``"sequential"``
-    (a Sinz-style register chain) — both bidirectional and truncated.
-    """
-
-    CARD_ENCODINGS = ("totalizer", "sequential")
-
-    def __init__(self, sink: ClauseSink,
-                 card_encoding: str = "totalizer") -> None:
-        if card_encoding not in self.CARD_ENCODINGS:
-            raise ValueError(f"unknown cardinality encoding "
-                             f"{card_encoding!r}")
+    def __init__(self, sink: ClauseSink) -> None:
         self.sink = sink
-        self.card_encoding = card_encoding
         self._cache: Dict[Tuple, int] = {}
         self._var_names: Dict[str, int] = {}
         # Keyed on the *sorted* literal tuple: counting is
@@ -192,9 +178,7 @@ class Encoder:
         if existing is not None:
             existing.raise_bound(bound)
             return existing.outputs
-        counter_cls = (Totalizer if self.card_encoding == "totalizer"
-                       else SequentialCounter)
-        counter = counter_cls(self.sink, list(lits), bound)
+        counter = Totalizer(self.sink, list(lits), bound)
         self._totalizers[key] = counter
         return counter.outputs
 

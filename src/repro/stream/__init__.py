@@ -10,7 +10,7 @@ IED compromise, cascading outages.  The
 minimal :class:`~repro.stream.delta.LiveState` overlay and names the
 properties it can affect, and the
 :class:`~repro.stream.watcher.Watcher` re-verifies exactly those floor
-cells on warm assumption-backend engines, raising structured
+cells on warm assumption-path engines, raising structured
 :class:`~repro.stream.watcher.Alarm` records when resiliency drops
 below the declared spec floor.
 

@@ -9,8 +9,8 @@ whose property is in the delta's affected set are re-verified (the
 others *cannot* have changed — the replay-equivalence test enforces
 that), and every verdict flip raises a structured :class:`Alarm`.
 
-Warmth comes from two layers.  Engines default to the **assumption
-backend**, so within one network shape every (property, k, r) cell
+Warmth comes from two layers.  Engines run on the **assumption
+path**, so within one network shape every (property, k, r) cell
 shares a single persistent solver context addressed by selector
 literals.  Across shapes, engines live in a small LRU keyed by the
 network fingerprint — and because fingerprints ignore names, a
@@ -122,8 +122,6 @@ class Watcher:
 
     def __init__(self, base: CaseConfig,
                  floors: Sequence[ResiliencySpec],
-                 backend: str = "assumption",
-                 card_encoding: str = "totalizer",
                  limits: Optional[Limits] = None,
                  engine_cache: int = 4) -> None:
         if not floors:
@@ -132,8 +130,6 @@ class Watcher:
             raise StreamError("engine_cache must be positive")
         self.compiler = DeltaCompiler(base)
         self.floors: List[ResiliencySpec] = list(dict.fromkeys(floors))
-        self.backend = backend
-        self.card_encoding = card_encoding
         self.limits = limits
         self.engine_cache = engine_cache
         self.state = LiveState()
@@ -166,8 +162,8 @@ class Watcher:
             return engine
         count("stream.engine.misses")
         engine = VerificationEngine(
-            config.network, config.problem, backend=self.backend,
-            card_encoding=self.card_encoding, lint=False)
+            config.network, config.problem, backend="assumption",
+            lint=False)
         self._engines[fingerprint] = engine
         while len(self._engines) > self.engine_cache:
             self._engines.popitem(last=False)
@@ -253,7 +249,6 @@ class Watcher:
         return {
             "state": self.state.to_json(),
             "events": self.events_seen,
-            "backend": self.backend,
             "floors": [spec.describe() for spec in self.floors],
             "verdicts": {spec.describe(): result.status.value
                          for spec, result in self.verdicts.items()},
@@ -266,7 +261,6 @@ class Watcher:
 
 def batch_verdicts(base: CaseConfig, state: LiveState,
                    floors: Sequence[ResiliencySpec],
-                   backend: str = "fresh",
                    limits: Optional[Limits] = None
                    ) -> Dict[ResiliencySpec, Status]:
     """From-scratch verdicts for *state* — the watcher's ground truth.
@@ -279,6 +273,6 @@ def batch_verdicts(base: CaseConfig, state: LiveState,
     compiler = DeltaCompiler(base)
     config = compiler.materialize(state)
     engine = VerificationEngine(config.network, config.problem,
-                                backend=backend, lint=False)
+                                backend="fresh", lint=False)
     return {spec: engine.verify(spec, limits=limits).status
             for spec in floors}

@@ -86,13 +86,12 @@ def test_queries_are_independent(system):
 
 
 def test_max_resiliency_matches_binary_search(system):
-    from repro.analysis import max_total_resiliency
     network, problem = system
-    fresh = ScadaAnalyzer(network, problem)
+    fresh = VerificationEngine.wrap(ScadaAnalyzer(network, problem))
     warm = VerificationEngine(network, problem, backend="assumption",
                               lint=False)
     assert warm.max_total_resiliency(screen=False) == \
-        max_total_resiliency(fresh, backend=None)
+        fresh.max_total_resiliency()
 
 
 def test_case_study_parity():

@@ -19,10 +19,14 @@ from repro.core import (
     ResiliencySpec,
     Status,
 )
-from repro.engine import BACKEND_NAMES, VerificationEngine, make_backend
+from repro.engine import VerificationEngine
 from repro.grid.ieee_cases import case_by_buses
 from repro.scada import GeneratorConfig, generate_scada
-from repro.service.protocol import ServiceError, backend_from_payload
+from repro.service import ServiceClientError
+from tests.service.conftest import RunningService, fig3_config_text
+
+#: The engine's two verification paths.
+PATHS = ("fresh", "assumption")
 
 
 def _instance(seed: int, secure_fraction: float):
@@ -38,7 +42,7 @@ def _instance(seed: int, secure_fraction: float):
 def _engines(network, problem):
     return {name: VerificationEngine(network, problem, backend=name,
                                      lint=False)
-            for name in BACKEND_NAMES}
+            for name in PATHS}
 
 
 @settings(max_examples=12, deadline=None)
@@ -82,7 +86,7 @@ def test_backends_enumerate_same_threat_space(seed, k):
         name: {frozenset(v.failed_devices) for v in vectors}
         for name, vectors in spaces.items()
     }
-    for name in BACKEND_NAMES:
+    for name in PATHS:
         assert canonical["fresh"] == canonical[name], name
 
 
@@ -92,13 +96,9 @@ def test_max_resiliency_equivalent_across_backends(fig3_case):
         name: VerificationEngine(network, problem, backend=name,
                                  lint=False).max_total_resiliency(
                                      Property.OBSERVABILITY)
-        for name in BACKEND_NAMES
+        for name in PATHS
     }
     assert len(set(maxima.values())) == 1, maxima
-
-
-def test_backend_names_are_the_two_survivors():
-    assert BACKEND_NAMES == ("fresh", "assumption")
 
 
 def test_incremental_certify_falls_back_to_fresh(fig3_case):
@@ -108,7 +108,7 @@ def test_incremental_certify_falls_back_to_fresh(fig3_case):
     spec = ResiliencySpec.observability(k=0)
     result = engine.verify(spec, certify=True)
     assert result.is_resilient
-    assert result.details.get("certify_fallback") == "fresh"
+    assert result.backend == "fresh"
     assert result.details.get("proof_checked") is True
 
 
@@ -119,23 +119,52 @@ def test_unknown_backend_rejected(fig3_case):
                            lint=False)
 
 
+#: Every subcommand that once took ``--backend``, with the arguments it
+#: needs to get past its positionals.
+BACKEND_SUBCOMMANDS = (
+    ["verify", "{config}", "--k", "1"],
+    ["enumerate", "{config}", "--k", "1"],
+    ["max-resiliency", "{config}"],
+    ["report", "{config}"],
+    ["watch", "{config}"],
+    ["serve"],
+    ["client", "health"],
+    ["corpus", "run", "{root}"],
+)
+
+
 @pytest.mark.parametrize("name", ["incremental", "preprocessed",
-                                  "portfolio"])
+                                  "portfolio", "fresh", "assumption"])
 def test_removed_backends_rejected_everywhere(fig3_case, tmp_path,
                                               capsys, name):
     network, problem = fig3_case
-    with pytest.raises(ValueError, match="unknown backend"):
-        make_backend(name, network, problem)
+    if name not in PATHS:
+        with pytest.raises(ValueError, match="unknown backend"):
+            VerificationEngine(network, problem, backend=name,
+                               lint=False)
     config = tmp_path / "fig3.scada"
     config.write_text("[system]\nstates = 1\n")
-    with pytest.raises(SystemExit) as exited:
-        main(["verify", str(config), "--k", "1", "--backend", name])
-    assert exited.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-    with pytest.raises(ServiceError) as err:
-        backend_from_payload(name, "assumption")
-    assert err.value.status == 400 and err.value.code == "bad-request"
-    assert "fresh, assumption" in err.value.message
+    for argv in BACKEND_SUBCOMMANDS:
+        argv = [arg.format(config=config, root=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--backend", name])
+        assert exited.value.code == 2, argv
+        assert "unrecognized arguments: --backend" in \
+            capsys.readouterr().err, argv
+    box = RunningService(jobs=1)
+    try:
+        for field, value in (("backend", name), ("engine_cache", 8)):
+            for path in ("/sessions", "/verify", "/max-resiliency",
+                         "/watch"):
+                with pytest.raises(ServiceClientError) as err:
+                    box.client.request("POST", path, {
+                        "config": fig3_config_text(), field: value})
+                assert err.value.status == 400, (field, path)
+                assert err.value.code == "bad-request", (field, path)
+                assert repr(field) in str(err.value), (field, path)
+        assert box.client.sessions()["stats"]["created"] == 0
+    finally:
+        box.stop()
 
 
 @pytest.mark.parametrize("flag", [["--preprocess"], ["--inprocess"],

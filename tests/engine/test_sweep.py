@@ -210,16 +210,15 @@ def test_map_argument_validation():
 
 def _point_key(point):
     """Everything deterministic about a ScalingPoint (times are not)."""
-    return (point.bus_size, point.hierarchy, point.seed, point.backend,
+    return (point.bus_size, point.hierarchy, point.seed,
             point.num_devices, point.max_k,
             point.sat_num_vars, point.sat_num_clauses,
             point.unsat_num_vars, point.unsat_num_clauses,
             len(point.sat_times), len(point.unsat_times))
 
 
-@pytest.mark.parametrize("backend", ["fresh", "assumption"])
-def test_sweep_deterministic_across_jobs(backend):
-    kwargs = dict(seeds=(0, 1), runs=1, backend=backend)
+def test_sweep_deterministic_across_jobs():
+    kwargs = dict(seeds=(0, 1), runs=1)
     serial = sweep_bus_sizes([14], jobs=1, **kwargs)
     parallel = sweep_bus_sizes([14], jobs=4, **kwargs)
     assert not serial.failures and not parallel.failures

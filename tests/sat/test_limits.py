@@ -80,6 +80,16 @@ def test_limits_validation_and_unbounded():
         Limits(max_conflicts=-5)
 
 
+@pytest.mark.parametrize("field", ["max_time", "max_conflicts",
+                                   "max_propagations", "max_memory_mb"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_limits_reject_non_finite(field, value):
+    # NaN slips past a plain ``< 0`` check and then wins every min() in
+    # merged(): a tenant's 5 s ceiling merged with it became unbounded.
+    with pytest.raises(ValueError, match="finite"):
+        Limits(**{field: value})
+
+
 def test_limits_merge_takes_fieldwise_minimum():
     a = Limits(max_time=10.0, max_conflicts=500)
     b = Limits(max_time=2.0, max_propagations=1000)

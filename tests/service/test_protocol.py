@@ -66,6 +66,14 @@ def test_limits_rejects_unknown_and_negative():
         limits_from_payload({"max_tiem": 1})
     with pytest.raises(ServiceError):
         limits_from_payload({"max_time": -3})
+    # json.loads accepts NaN and Infinity; max_conflicts NaN used to
+    # escape as a ValueError (a 500) and max_time NaN as no bound.
+    for field in ("max_time", "max_conflicts", "max_propagations",
+                  "max_memory_mb"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ServiceError) as err:
+                limits_from_payload({field: value})
+            assert err.value.code == "bad-limits", (field, value)
 
 
 def test_cancelled_payload_is_exit_code_3_unknown():

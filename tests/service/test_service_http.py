@@ -17,7 +17,9 @@ import pytest
 
 from repro.obs.schema import validate_record, validate_trace
 from repro.obs.stats import aggregate
+from repro.sat.limits import Limits
 from repro.service import ServiceClientError
+from repro.service.jobs import TenantPolicy
 
 
 
@@ -249,14 +251,31 @@ def test_client_errors_carry_stable_codes(service, fig3_text):
     assert err.value.code == "no-such-job"
 
 
+@pytest.mark.parametrize("field", ["max_time", "max_conflicts",
+                                   "max_memory_mb"])
+def test_nan_limits_cannot_lift_the_tenant_ceiling(running, fig3_text,
+                                                   field):
+    box = running(default_policy=TenantPolicy(
+        limits=Limits(max_time=5.0, max_conflicts=10_000,
+                      max_memory_mb=512.0)))
+    with pytest.raises(ServiceClientError) as err:
+        # The client's json.dumps writes a bare NaN token, which the
+        # daemon's json.loads accepts.
+        box.client.verify(config=fig3_text, spec={"k": 1},
+                          limits={field: float("nan")}, wait=True)
+    assert err.value.status == 400 and err.value.code == "bad-limits"
+    assert box.client.sessions()["stats"]["created"] == 0
+
+
 def test_lru_session_eviction_over_http(running, fig3_text):
     box = running(max_sessions=1)
     client = box.client
     client.verify(config=fig3_text, spec={"k": 1}, wait=True)
-    # A second configuration (different backend → different
-    # fingerprint) evicts the only slot.
-    client.verify(config=fig3_text, spec={"k": 1}, wait=True,
-                  backend="fresh")
+    # A second configuration (an extra link → different fingerprint)
+    # evicts the only slot.
+    client.verify(config=fig3_text.replace("\n10 11\n",
+                                           "\n10 11\n10 14\n"),
+                  spec={"k": 1}, wait=True)
     stats = client.sessions()["stats"]
     assert stats == {"open": 1, "created": 2, "reused": 0,
                      "evicted": 1, "invalidated": 0}
@@ -279,24 +298,25 @@ def test_sessions_listing_includes_solver_totals(service, fig3_text):
 
 
 def test_warm_job_rejects_backend_override(service, fig3_text):
-    """A mismatched per-job backend needs the cold lane, explicitly."""
+    """The server picks the path: no job may name a backend, warm or
+    cold."""
     client = service.client
     session_id = client.open_session(fig3_text)["session"]
-    with pytest.raises(ServiceClientError) as err:
-        client.max_resiliency(session=session_id, backend="fresh",
-                              wait=True)
-    assert err.value.status == 400 and err.value.code == "bad-request"
-    with pytest.raises(ServiceClientError) as err:
-        client.max_resiliency(config=fig3_text, backend="quantum",
-                              wait=True)
-    assert err.value.status == 400
+    for payload in ({"session": session_id, "backend": "fresh"},
+                    {"config": fig3_text, "backend": "fresh",
+                     "cold": True}):
+        with pytest.raises(ServiceClientError) as err:
+            client.request("POST", "/max-resiliency",
+                           dict(payload, wait=True))
+        assert err.value.status == 400
+        assert err.value.code == "bad-request"
+        assert "'backend'" in str(err.value)
 
 
-def test_cold_max_resiliency_accepts_backend_override(service,
-                                                      fig3_text):
+def test_cold_max_resiliency_matches_warm(service, fig3_text):
     client = service.client
-    bounds = client.max_resiliency(config=fig3_text, backend="fresh",
-                                   cold=True, wait=True)
+    bounds = client.max_resiliency(config=fig3_text, cold=True,
+                                   wait=True)
     assert bounds["result"]["exit_code"] == 0
     assert bounds["result"]["total"]["exact"] is True
     reference = client.max_resiliency(config=fig3_text, wait=True)
@@ -308,9 +328,9 @@ def test_cold_max_resiliency_accepts_backend_override(service,
                                     "fig3"])
 def test_open_session_rejects_unknown_backend_up_front(service, fig3_text,
                                                        config):
-    """An unknown backend is a 400 naming the valid ones — before any
-    parse, lint or engine work (which used to answer 400 bad-config, or
-    422 lint-failed for a config that also fails lint)."""
+    """Naming any backend is a 400 naming the field — before any parse,
+    lint or engine work (which would answer 400 bad-config, or 422
+    lint-failed for a config that also fails lint)."""
     texts = {"not a configuration": "not a configuration",
              "lint-fails": fig3_text.replace("8: 8", "99: 8"),
              "fig3": fig3_text}
@@ -319,5 +339,5 @@ def test_open_session_rejects_unknown_backend_up_front(service, fig3_text,
         client.request("POST", "/sessions", {"config": texts[config],
                                              "backend": "quantum"})
     assert err.value.status == 400 and err.value.code == "bad-request"
-    assert "fresh, assumption" in str(err.value)
+    assert "'backend'" in str(err.value)
     assert client.sessions()["stats"]["created"] == 0

@@ -40,10 +40,11 @@ def test_lru_eviction_drops_contexts_cleanly(manager):
     base.engine.verify(ResiliencySpec.observability(k=1),
                        minimize=False)
     assert len(base.engine.cache) >= 1
-    # Two more distinct sessions (a different backend, then a
-    # different topology → different fingerprints) overflow maxsize=2
-    # and evict the oldest.
-    manager.open(manager.parse(text), backend="fresh")
+    # Two more distinct sessions (an extra RTU-router link, then the
+    # fig4 topology → different fingerprints) overflow maxsize=2 and
+    # evict the oldest.
+    manager.open(manager.parse(
+        text.replace("\n10 11\n", "\n10 11\n10 14\n")))
     manager.open(manager.parse(fig4_config_text()))
     assert manager.stats() == {"open": 2, "created": 3, "reused": 0,
                                "evicted": 1, "invalidated": 0}

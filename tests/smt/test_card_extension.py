@@ -1,10 +1,10 @@
 """Extendable counters and assumption-gated budgets vs brute force.
 
 Exhaustive over every input pattern for n <= 6 (and every bound / raise
-sequence), these tests pin the contract the assumption backend rests on:
+sequence), these tests pin the contract the assumption path rests on:
 
-* both counter encodings agree with the brute-force count for all k and
-  both polarities (at-most and at-least),
+* the counter agrees with the brute-force count for all k and both
+  polarities (at-most and at-least),
 * :meth:`raise_bound` is monotone — growing a counter never changes the
   meaning of the outputs that already existed, and the grown counter is
   indistinguishable from one built directly at the larger bound,
@@ -18,10 +18,12 @@ import pytest
 
 from repro.sat import CNF, SatSolver
 from repro.smt import Bools, Solver
-from repro.smt.cardinality import SequentialCounter, Totalizer
+from repro.smt.cardinality import Totalizer
 from repro.smt.solver import Result
 
-COUNTERS = [Totalizer, SequentialCounter]
+#: Every :class:`~repro.smt.cardinality.CardinalityCounter`
+#: implementation.
+COUNTERS = [Totalizer]
 
 
 def _counter_id(cls):
@@ -132,15 +134,14 @@ def _binomial_at_most(n, k):
     return sum(comb(n, i) for i in range(0, min(k, n) + 1))
 
 
-@pytest.mark.parametrize("card_encoding", ["totalizer", "sequential"])
 @pytest.mark.parametrize("n", range(1, 7))
-def test_budget_handle_model_counts(card_encoding, n):
+def test_budget_handle_model_counts(n):
     """Assumption-gated bounds admit exactly the binomial model count.
 
     One solver, one handle, every k in both polarities — the exact
-    workload of the assumption backend, checked against brute force.
+    workload of the assumption path, checked against brute force.
     """
-    solver = Solver(card_encoding=card_encoding)
+    solver = Solver()
     variables = Bools(" ".join(f"x{i}" for i in range(n)))
     handle = solver.budget_handle(variables, "budget")
     for k in range(0, n + 1):
@@ -158,10 +159,9 @@ def test_budget_handle_model_counts(card_encoding, n):
         assert both == 2 ** n - 2
 
 
-@pytest.mark.parametrize("card_encoding", ["totalizer", "sequential"])
-def test_budget_handle_weighted_multiset(card_encoding):
+def test_budget_handle_weighted_multiset():
     """Duplicated terms count with multiplicity (weighted budgets)."""
-    solver = Solver(card_encoding=card_encoding)
+    solver = Solver()
     a, b = Bools("a b")
     # cost(a) = 2, cost(b) = 3.
     handle = solver.budget_handle([a, a, b, b, b], "weighted")

@@ -5,11 +5,7 @@ import itertools
 import pytest
 
 from repro.sat import CNF, SatSolver
-from repro.smt.cardinality import (
-    Totalizer,
-    encode_at_least_sequential,
-    encode_at_most_sequential,
-)
+from repro.smt.cardinality import Totalizer
 
 
 def _solve_with_fixed(cnf, fixed):
@@ -69,39 +65,6 @@ def test_totalizer_rejects_bad_bound():
         Totalizer(CNF(), [1], bound=0)
 
 
-@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7)
-                                 for k in range(0, n + 1)])
-def test_sequential_at_most_blocks_exactly(n, k):
-    cnf = CNF()
-    inputs = cnf.new_vars(n)
-    encode_at_most_sequential(cnf, inputs, k)
-    for bits in itertools.product([False, True], repeat=n):
-        fixed = dict(zip(inputs, bits))
-        res, _ = _solve_with_fixed(cnf, fixed)
-        assert res == (sum(bits) <= k), (bits, k)
-
-
-@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6)
-                                 for k in range(0, n + 2)])
-def test_sequential_at_least_blocks_exactly(n, k):
-    cnf = CNF()
-    inputs = cnf.new_vars(n)
-    encode_at_least_sequential(cnf, inputs, k)
-    for bits in itertools.product([False, True], repeat=n):
-        fixed = dict(zip(inputs, bits))
-        res, _ = _solve_with_fixed(cnf, fixed)
-        assert res == (sum(bits) >= k), (bits, k)
-
-
-def test_sequential_negative_k_unsat():
-    cnf = CNF()
-    inputs = cnf.new_vars(2)
-    encode_at_most_sequential(cnf, inputs, -1)
-    solver = SatSolver()
-    ok = all(solver.add_clause(c) for c in cnf.clauses)
-    assert not ok or solver.solve() is False
-
-
 def test_totalizer_with_negated_literals():
     """Counting works over negative literals too."""
     cnf = CNF()
@@ -114,26 +77,3 @@ def test_totalizer_with_negated_literals():
         count = sum(1 for bit in bits if not bit)
         for j, out in enumerate(totalizer.outputs, start=1):
             assert solver.model_value(out) == (count >= j)
-
-
-@pytest.mark.parametrize("n,bound", [(1, 1), (4, 2), (5, 5), (6, 3), (7, 4)])
-def test_sequential_counter_outputs_count_exactly(n, bound):
-    from repro.smt.cardinality import SequentialCounter
-    cnf = CNF()
-    inputs = cnf.new_vars(n)
-    counter = SequentialCounter(cnf, inputs, bound=bound)
-    assert len(counter.outputs) == bound
-    for bits in itertools.product([False, True], repeat=n):
-        fixed = dict(zip(inputs, bits))
-        res, solver = _solve_with_fixed(cnf, fixed)
-        assert res is True
-        count = sum(bits)
-        for j, out in enumerate(counter.outputs, start=1):
-            assert solver.model_value(out) == (count >= j), (bits, j)
-
-
-def test_sequential_counter_empty_and_bad_bound():
-    from repro.smt.cardinality import SequentialCounter
-    assert SequentialCounter(CNF(), [], bound=2).outputs == []
-    with pytest.raises(ValueError):
-        SequentialCounter(CNF(), [1], bound=0)

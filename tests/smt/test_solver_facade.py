@@ -3,7 +3,6 @@
 import pytest
 
 from repro.smt import (
-    And,
     AtMost,
     Bool,
     Bools,
@@ -134,36 +133,3 @@ def test_model_true_variables():
     assert s.check() == Result.SAT
     assert "a" in s.model().true_variables()
     assert "b" not in s.model().true_variables()
-
-
-def test_sequential_encoding_agrees_with_totalizer():
-    import itertools
-    from repro.smt import evaluate
-    names = ["p", "q", "r", "t"]
-    vs = [Bool(n) for n in names]
-    for k in range(0, 4):
-        for negate in (False, True):
-            term = AtMost(vs, k)
-            if negate:
-                term = Not(term)
-            counts = []
-            for encoding in ("totalizer", "sequential"):
-                s = Solver(card_encoding=encoding)
-                s.add(term)
-                n = 0
-                while s.check() == Result.SAT:
-                    model = s.model()
-                    cube = [v if model[v] else Not(v) for v in vs]
-                    s.add(Not(And(*cube)))
-                    n += 1
-                counts.append(n)
-            truth = sum(
-                1 for bits in itertools.product([False, True], repeat=4)
-                if evaluate(term, dict(zip(names, bits))))
-            assert counts[0] == counts[1] == truth, (k, negate, counts)
-
-
-def test_unknown_encoding_rejected():
-    import pytest as _pytest
-    with _pytest.raises(ValueError):
-        Solver(card_encoding="bogus")

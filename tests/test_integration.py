@@ -112,19 +112,6 @@ def test_certified_verdicts_match_uncertified(system):
             assert certified.details["proof_checked"] is True
 
 
-def test_encodings_agree_end_to_end(system):
-    synthetic, _ = system
-    problem = ObservabilityProblem.from_table(synthetic.table)
-    for encoding in ("totalizer", "sequential"):
-        analyzer = ScadaAnalyzer(synthetic.network, problem,
-                                 card_encoding=encoding)
-        result = analyzer.verify(ResiliencySpec.observability(k=1))
-        if encoding == "totalizer":
-            baseline = result.status
-        else:
-            assert result.status == baseline
-
-
 def test_bad_data_spec_agrees_with_estimator_redundancy(system):
     """If (k=0, r=1)-BDD holds, every state has ≥2 secured measurements;
     the estimator's LNR detector then catches a single gross error among
