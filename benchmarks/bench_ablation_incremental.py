@@ -32,7 +32,7 @@ import time
 import pytest
 
 from repro.analysis import sweep_bus_sizes
-from repro.core import ObservabilityProblem, ResiliencySpec
+from repro.core import ObservabilityProblem, Property, ResiliencySpec
 from repro.engine import VerificationEngine
 from repro.grid import case57
 from repro.scada import GeneratorConfig, generate_scada
@@ -71,7 +71,7 @@ def test_backend_max_resiliency(benchmark, system, backend):
     def run():
         engine = VerificationEngine(network, problem, backend=backend,
                                     lint=False)
-        return engine.max_total_resiliency()
+        return engine.max_resiliency(Property.OBSERVABILITY).value
 
     rounds = 1 if SMOKE else 3
     started = time.perf_counter()

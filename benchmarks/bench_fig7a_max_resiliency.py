@@ -7,8 +7,8 @@ takes all of its IEDs down with it).
 
 import pytest
 
-from repro.analysis import max_ied_resiliency, max_rtu_resiliency
-from repro.core import ObservabilityProblem, ScadaAnalyzer
+from repro.core import ObservabilityProblem, Property
+from repro.engine import VerificationEngine
 from repro.grid import ieee14, sampled_measurement_plan
 from repro.scada import GeneratorConfig, generate_scada
 
@@ -16,24 +16,29 @@ FRACTIONS = [0.4, 0.6, 0.8, 1.0]
 _series = {}
 
 
-def _analyzer(fraction, seed=0):
+def _engine(fraction, seed=0):
     plan = sampled_measurement_plan(ieee14(), fraction, seed=seed)
     synthetic = generate_scada(
         ieee14(),
         GeneratorConfig(seed=seed, dual_home_fraction=0.3),
         plan=plan)
     problem = ObservabilityProblem.from_table(synthetic.table)
-    return ScadaAnalyzer(synthetic.network, problem)
+    return VerificationEngine(synthetic.network, problem,
+                              backend="assumption")
+
+
+def _ied_rtu_maxima(engine):
+    return tuple(engine.max_resiliency(Property.OBSERVABILITY,
+                                       axis=axis).value
+                 for axis in ("ied", "rtu"))
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)
 def test_max_resiliency_search(benchmark, fraction):
-    analyzer = _analyzer(fraction)
+    engine = _engine(fraction)
 
     def search():
-        ied = max_ied_resiliency(analyzer)
-        rtu = max_rtu_resiliency(analyzer)
-        _series[fraction] = (ied, rtu)
+        ied, rtu = _series[fraction] = _ied_rtu_maxima(engine)
         return ied, rtu
 
     ied, rtu = benchmark.pedantic(search, rounds=1, iterations=1)
@@ -46,9 +51,7 @@ def test_report_fig7a(benchmark, report):
                  "max RTU failures"]
         for fraction in FRACTIONS:
             if fraction not in _series:
-                analyzer = _analyzer(fraction)
-                _series[fraction] = (max_ied_resiliency(analyzer),
-                                     max_rtu_resiliency(analyzer))
+                _series[fraction] = _ied_rtu_maxima(_engine(fraction))
             ied, rtu = _series[fraction]
             lines.append(f"{int(fraction * 100):23d} | {ied:16d} | "
                          f"{rtu:16d}")

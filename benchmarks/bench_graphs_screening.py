@@ -82,8 +82,8 @@ def _bench_max_resiliency(network, problem) -> Dict[str, Any]:
             engine = VerificationEngine(network, problem,
                                         backend="assumption", lint=False)
             bounds, wall, counters = _traced(
-                lambda e=engine, s=screen: e.max_total_resiliency_bounds(
-                    prop=prop, screen=s))
+                lambda e=engine, s=screen: e.max_resiliency(prop,
+                                                            screen=s))
             entry["screened" if screen else "unscreened"] = {
                 "wall_s": round(wall, 3),
                 "solver_queries": counters["query"],

@@ -25,14 +25,9 @@ Usage::
 import sys
 from collections import Counter
 
-from repro.analysis import (
-    estimate_availability,
-    max_ied_resiliency,
-    max_rtu_resiliency,
-    max_total_resiliency,
-    threat_space,
-)
-from repro.core import ObservabilityProblem, ResiliencySpec, ScadaAnalyzer
+from repro.analysis import estimate_availability, threat_space
+from repro.core import ObservabilityProblem, Property, ResiliencySpec
+from repro.engine import VerificationEngine
 from repro.grid import case30
 from repro.scada import GeneratorConfig, generate_scada
 
@@ -47,7 +42,8 @@ def main(seed: int = 0) -> None:
     synthetic = generate_scada(case30(seed=seed), config)
     network = synthetic.network
     problem = ObservabilityProblem.from_table(synthetic.table)
-    analyzer = ScadaAnalyzer(network, problem)
+    # One warm engine serves the searches and the enumeration.
+    engine = VerificationEngine(network, problem, backend="assumption")
 
     print(f"SCADA deployment: {len(network.ied_ids)} IEDs, "
           f"{len(network.rtu_ids)} RTUs, "
@@ -56,9 +52,9 @@ def main(seed: int = 0) -> None:
           f"{problem.num_states} states")
 
     print("\n-- maximal resiliency --")
-    k_total = max_total_resiliency(analyzer)
-    k_ied = max_ied_resiliency(analyzer)
-    k_rtu = max_rtu_resiliency(analyzer)
+    k_total, k_ied, k_rtu = (
+        engine.max_resiliency(Property.OBSERVABILITY, axis=axis).value
+        for axis in ("total", "ied", "rtu"))
     print(f"  any devices : tolerates {k_total} failure(s)")
     print(f"  IEDs only   : tolerates {k_ied} failure(s)")
     print(f"  RTUs only   : tolerates {k_rtu} failure(s)")
@@ -66,7 +62,7 @@ def main(seed: int = 0) -> None:
     spec = ResiliencySpec.observability(k=k_total + 1)
     print(f"\n-- threat space one step beyond the certificate "
           f"({spec.describe()}) --")
-    space = threat_space(analyzer, spec, limit=200)
+    space = threat_space(engine, spec, limit=200)
     suffix = "+" if space.truncated else ""
     print(f"  {space.size}{suffix} minimal threat vector(s); "
           f"sizes: {space.by_size()}")
@@ -94,7 +90,7 @@ def main(seed: int = 0) -> None:
 
     print("\n-- probabilistic availability (2% per-device failure rate) --")
     estimate = estimate_availability(
-        analyzer, failure_probability=0.02, samples=3000, seed=seed,
+        engine, failure_probability=0.02, samples=3000, seed=seed,
         certificate=max(k_total, 0) if k_total >= 0 else None)
     print(f"  {estimate.summary()}")
 

@@ -1,14 +1,11 @@
-"""Evaluation drivers: scalability, maximal resiliency, threat space,
-attack-cost analysis."""
+"""Evaluation drivers: scalability, threat space, attack-cost analysis,
+availability.
+
+Maximal resiliency is one engine method,
+:meth:`~repro.engine.VerificationEngine.max_resiliency`."""
 
 from .attack_cost import AttackCostResult, cheapest_threat, uniform_costs
 from .monte_carlo import AvailabilityEstimate, estimate_availability
-from .max_resiliency import (
-    max_ied_resiliency,
-    max_rtu_resiliency,
-    max_total_resiliency,
-    max_total_resiliency_bounds,
-)
 from .scaling import (
     ScalingPoint,
     ScalingSweep,
@@ -26,10 +23,6 @@ __all__ = [
     "ThreatSpace",
     "cheapest_threat",
     "estimate_availability",
-    "max_ied_resiliency",
-    "max_rtu_resiliency",
-    "max_total_resiliency",
-    "max_total_resiliency_bounds",
     "measure_instance",
     "sweep_bus_sizes",
     "sweep_hierarchy",

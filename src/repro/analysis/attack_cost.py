@@ -71,15 +71,10 @@ def uniform_costs(analyzer: Verifier, ied_cost: int = 1,
     return costs
 
 
-def _vector_cost(threat: ThreatVector, costs: Mapping[int, int]) -> int:
-    return sum(costs[d] for d in threat.failed_devices)
-
-
 def cheapest_threat(analyzer: Verifier,
                     prop: Property = Property.OBSERVABILITY,
                     costs: Optional[Mapping[int, int]] = None,
                     r: int = 1,
-                    max_conflicts: Optional[int] = None,
                     limits: Optional[Limits] = None
                     ) -> AttackCostResult:
     """Find the minimum-cost failure set violating *prop*.
@@ -129,8 +124,7 @@ def cheapest_threat(analyzer: Verifier,
         selector = handle.at_most(budget)
         assumptions: List[Term] = [] if (isinstance(selector, BoolVal)
                                          and selector.value) else [selector]
-        outcome = solver.check(*assumptions, max_conflicts=max_conflicts,
-                               limits=limits)
+        outcome = solver.check(*assumptions, limits=limits)
         if outcome is Result.UNKNOWN:
             raise ResourceLimitReached(
                 f"solver budget exhausted in cheapest-threat search "

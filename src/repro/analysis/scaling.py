@@ -25,7 +25,7 @@ from ..core.specs import Property, ResiliencySpec
 from ..engine import SweepExecutor, SweepTaskError, VerificationEngine
 from ..grid.ieee_cases import case_by_buses
 from ..obs.tracer import span as obs_span
-from ..sat.limits import Limits, ResourceLimitReached
+from ..sat.limits import Limits
 from ..scada.generator import GeneratorConfig, generate_scada
 
 __all__ = ["ScalingPoint", "ScalingSweep", "measure_instance",
@@ -127,7 +127,6 @@ def measure_instance(bus_size: int, hierarchy: int, seed: int,
                      runs: int = 3,
                      measurement_fraction: float = 0.7,
                      secure_fraction: float = 0.8,
-                     max_conflicts: Optional[int] = None,
                      limits: Optional[Limits] = None) -> ScalingPoint:
     """Generate one synthetic SCADA instance and time sat/unsat checks.
 
@@ -146,13 +145,12 @@ def measure_instance(bus_size: int, hierarchy: int, seed: int,
                   hierarchy=hierarchy, seed=seed):
         return _measure_instance(
             bus_size, hierarchy, seed, prop, runs, measurement_fraction,
-            secure_fraction, max_conflicts, limits)
+            secure_fraction, limits)
 
 
 def _measure_instance(bus_size: int, hierarchy: int, seed: int,
                       prop: Property, runs: int,
                       measurement_fraction: float, secure_fraction: float,
-                      max_conflicts: Optional[int],
                       limits: Optional[Limits]) -> ScalingPoint:
     config = GeneratorConfig(
         measurement_fraction=measurement_fraction,
@@ -165,28 +163,19 @@ def _measure_instance(bus_size: int, hierarchy: int, seed: int,
     engine = VerificationEngine(synthetic.network, problem,
                                 backend="fresh")
 
-    max_k_exact = True
-    try:
-        max_k = engine.max_total_resiliency(
-            prop, max_conflicts=max_conflicts, limits=limits)
-    except ResourceLimitReached as exc:
-        if exc.bounds is None:
-            raise
-        max_k = exc.bounds.lower
-        max_k_exact = False
+    bounds = engine.max_resiliency(prop, limits=limits)
+    max_k = bounds.lower
     point = ScalingPoint(
         bus_size=bus_size, hierarchy=hierarchy, seed=seed,
         num_devices=synthetic.num_devices, max_k=max_k,
-        max_k_exact=max_k_exact,
+        max_k_exact=bounds.exact,
     )
     unsat_spec = ResiliencySpec.for_property(prop, k=max(max_k, 0))
     sat_spec = ResiliencySpec.for_property(prop, k=max_k + 1)
     for _ in range(runs):
         unsat_result = engine.verify(unsat_spec, minimize=False,
-                                     max_conflicts=max_conflicts,
                                      limits=limits)
         sat_result = engine.verify(sat_spec, minimize=False,
-                                   max_conflicts=max_conflicts,
                                    limits=limits)
         if unsat_result.is_unknown or sat_result.is_unknown:
             point.unknown_runs += (int(unsat_result.is_unknown)
@@ -214,7 +203,6 @@ class _MeasureTask:
     prop: Property
     runs: int
     secure_fraction: float
-    max_conflicts: Optional[int]
     limits: Optional[Limits] = None
 
 
@@ -222,7 +210,7 @@ def _measure_task(task: _MeasureTask) -> ScalingPoint:
     return measure_instance(
         task.bus_size, task.hierarchy, task.seed, prop=task.prop,
         runs=task.runs, secure_fraction=task.secure_fraction,
-        max_conflicts=task.max_conflicts, limits=task.limits)
+        limits=task.limits)
 
 
 def _run_sweep(tasks: List[_MeasureTask], prop: Property, jobs: int,
@@ -243,7 +231,6 @@ def sweep_bus_sizes(bus_sizes: Sequence[int],
                     hierarchy: int = 1,
                     runs: int = 3,
                     secure_fraction: float = 0.8,
-                    max_conflicts: Optional[int] = None,
                     jobs: int = 1,
                     limits: Optional[Limits] = None,
                     task_timeout: Optional[float] = None,
@@ -258,7 +245,7 @@ def sweep_bus_sizes(bus_sizes: Sequence[int],
     """
     tasks = [
         _MeasureTask(bus_size, hierarchy, seed, prop, runs,
-                     secure_fraction, max_conflicts, limits)
+                     secure_fraction, limits)
         for bus_size in bus_sizes
         for seed in seeds
     ]
@@ -271,7 +258,6 @@ def sweep_hierarchy(bus_size: int,
                     seeds: Sequence[int] = (0, 1, 2),
                     runs: int = 3,
                     secure_fraction: float = 0.8,
-                    max_conflicts: Optional[int] = None,
                     jobs: int = 1,
                     limits: Optional[Limits] = None,
                     task_timeout: Optional[float] = None,
@@ -282,7 +268,7 @@ def sweep_hierarchy(bus_size: int,
     """
     tasks = [
         _MeasureTask(bus_size, level, seed, prop, runs,
-                     secure_fraction, max_conflicts, limits)
+                     secure_fraction, limits)
         for level in hierarchy_levels
         for seed in seeds
     ]

@@ -60,7 +60,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .analysis import threat_space
 from .core import (
@@ -72,7 +72,7 @@ from .core import (
     Status,
 )
 from .core.hardening import harden
-from .engine import SweepExecutor, VerificationEngine
+from .engine import VerificationEngine
 from .grid.ieee_cases import case_by_buses
 from .obs.tracer import Tracer, set_tracer
 from .sat.limits import Limits, ResourceLimitReached
@@ -139,17 +139,12 @@ def _limits_from_args(args) -> Optional[Limits]:
         raise SystemExit(2) from None
 
 
-def _add_engine_args(parser: argparse.ArgumentParser,
-                     jobs: bool = True) -> None:
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     _add_limit_args(parser)
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write a JSONL telemetry trace (spans, "
                              "solver events, metrics); aggregate with "
                              "'repro stats FILE'")
-    if jobs:
-        parser.add_argument("--jobs", type=int, default=1,
-                            help="worker processes for independent "
-                                 "searches (0 = all cores)")
 
 
 def _add_spec_args(parser: argparse.ArgumentParser) -> None:
@@ -331,45 +326,18 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _max_search_task(
-    task: Tuple[str, str, str, Optional[Limits], bool],
-):
-    """Worker: one maximal-resiliency search on a config loaded by path."""
-    config_path, prop_value, kind, limits, screen = task
-    config = load_config(config_path)
-    # The parent process already linted the configuration.
-    engine = VerificationEngine(config.network, config.problem,
-                                backend="fresh", lint=False)
-    prop = Property(prop_value)
-    if kind == "total":
-        return engine.max_total_resiliency_bounds(prop, limits=limits,
-                                                  screen=screen)
-    if kind == "ied":
-        return engine.max_ied_resiliency_bounds(prop, limits=limits,
-                                                screen=screen)
-    return engine.max_rtu_resiliency_bounds(prop, limits=limits,
-                                            screen=screen)
-
-
 def _cmd_max_resiliency(args) -> int:
     config = load_config(args.config)
     prop = Property(args.property)
     limits = _limits_from_args(args)
-    screen = not args.no_screen
-    if args.jobs != 1:
-        tasks = [(args.config, prop.value, kind, limits, screen)
-                 for kind in ("total", "ied", "rtu")]
-        total, ied, rtu = SweepExecutor(args.jobs).map(
-            _max_search_task, tasks)
-    else:
-        engine = VerificationEngine(config.network, config.problem,
-                                    backend="fresh")
-        total = engine.max_total_resiliency_bounds(prop, limits=limits,
-                                                   screen=screen)
-        ied = engine.max_ied_resiliency_bounds(prop, limits=limits,
-                                               screen=screen)
-        rtu = engine.max_rtu_resiliency_bounds(prop, limits=limits,
-                                               screen=screen)
+    # One warm engine runs the three searches in turn: every probe is
+    # a budget change on the same cached encoding.
+    engine = VerificationEngine(config.network, config.problem,
+                                backend="assumption")
+    total, ied, rtu = (
+        engine.max_resiliency(prop, axis=axis, limits=limits,
+                              screen=not args.no_screen)
+        for axis in ("total", "ied", "rtu"))
     print(f"maximal resiliency ({prop.value}):")
     print(f"  any field devices: {total.describe()}")
     print(f"  IEDs only        : {ied.describe()}")
@@ -388,7 +356,6 @@ def _cmd_report(args) -> int:
     text = audit_report(config.network, config.problem,
                         threat_limit=args.limit,
                         include_hardening=not args.no_hardening,
-                        jobs=args.jobs,
                         limits=_limits_from_args(args))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -516,7 +483,7 @@ def _cmd_client(args) -> int:
             payload = client.max_resiliency(
                 config=config_text, session=args.session,
                 prop=args.property, limits=_client_limits(args),
-                cold=args.cold, wait=wait)
+                wait=wait)
     except ServiceClientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -779,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--no-lint", action="store_true", dest="no_lint",
                           help="skip the configuration linter and verify "
                                "even with error-level diagnostics")
-    _add_engine_args(p_verify, jobs=False)
+    _add_engine_args(p_verify)
     _add_spec_args(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -805,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="no_screen",
                         help="skip the polynomial-time structural "
                              "screen and always run the solver")
-    _add_engine_args(p_enum, jobs=False)
+    _add_engine_args(p_enum)
     _add_spec_args(p_enum)
     p_enum.set_defaults(func=_cmd_enumerate)
 
@@ -978,9 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
                           dest="no_wait",
                           help="submit and return the job id instead "
                                "of waiting for the verdict")
-    p_client.add_argument("--cold", action="store_true",
-                          help="max-resiliency on the process-pool "
-                               "cold lane (needs config text)")
     p_client.add_argument("--out", default=None,
                           help="write the downloaded trace here")
     _add_limit_args(p_client)

@@ -12,7 +12,7 @@ from .incremental import IncrementalContext
 from .problem import ObservabilityProblem, group_rows_by_component
 from .reference import ReferenceEvaluator
 from .results import Status, ThreatVector, VerificationResult
-from .search import SearchBounds, galloping_max, galloping_max_bounded
+from .search import SearchBounds, galloping_max_bounded
 from .specs import FailureBudget, Property, ResiliencySpec
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "Status",
     "ThreatVector",
     "VerificationResult",
-    "galloping_max",
     "galloping_max_bounded",
     "group_rows_by_component",
 ]

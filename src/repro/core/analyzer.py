@@ -150,7 +150,6 @@ class ScadaAnalyzer:
     # ------------------------------------------------------------------
 
     def verify(self, spec: ResiliencySpec, minimize: bool = True,
-               max_conflicts: Optional[int] = None,
                certify: bool = False,
                limits: Optional[Limits] = None) -> VerificationResult:
         """Verify one resiliency specification.
@@ -167,8 +166,7 @@ class ScadaAnalyzer:
         solver, encoder, encode_time = self._build(
             spec, produce_proof=certify)
         with obs_span("solve", backend=self.backend_name) as sp:
-            outcome = solver.check(max_conflicts=max_conflicts,
-                                   limits=limits)
+            outcome = solver.check(limits=limits)
             sp.attrs["result"] = outcome.value
         result = VerificationResult(
             spec=spec,
@@ -205,7 +203,6 @@ class ScadaAnalyzer:
         spec: ResiliencySpec,
         limit: Optional[int] = None,
         minimal: bool = True,
-        max_conflicts: Optional[int] = None,
         limits: Optional[Limits] = None,
     ) -> List[ThreatVector]:
         """All (minimal) threat vectors within the budget.
@@ -225,8 +222,7 @@ class ScadaAnalyzer:
         solver, encoder, _ = self._build(spec)
 
         def check() -> Optional[bool]:
-            outcome = solver.check(max_conflicts=max_conflicts,
-                                   limits=limits)
+            outcome = solver.check(limits=limits)
             if outcome is Result.UNKNOWN:
                 return None
             return outcome is Result.SAT

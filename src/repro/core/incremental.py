@@ -162,7 +162,6 @@ class IncrementalContext:
     # ------------------------------------------------------------------
 
     def verify(self, spec: ResiliencySpec, minimize: bool = True,
-               max_conflicts: Optional[int] = None,
                limits: Optional[Limits] = None) -> VerificationResult:
         """Verify the context's property under one spec's budgets.
 
@@ -179,9 +178,7 @@ class IncrementalContext:
             assumptions = self._budget_assumptions(spec)
         encode_time = time.perf_counter() - started
         with obs_span("solve", backend=self.backend_name) as sp:
-            outcome = solver.check(*assumptions,
-                                   max_conflicts=max_conflicts,
-                                   limits=limits)
+            outcome = solver.check(*assumptions, limits=limits)
             sp.attrs["result"] = outcome.value
         return self._result(spec, outcome, encode_time,
                             pre_vars, pre_clauses, minimize)
@@ -229,7 +226,6 @@ class IncrementalContext:
     def enumerate(self, spec: ResiliencySpec,
                   limit: Optional[int] = None,
                   minimal: bool = True,
-                  max_conflicts: Optional[int] = None,
                   limits: Optional[Limits] = None) -> List[ThreatVector]:
         """All (minimal) threat vectors within the spec's budgets.
 
@@ -246,9 +242,7 @@ class IncrementalContext:
         assumptions = self._budget_assumptions(spec)
 
         def check() -> Optional[bool]:
-            outcome = solver.check(*assumptions,
-                                   max_conflicts=max_conflicts,
-                                   limits=limits)
+            outcome = solver.check(*assumptions, limits=limits)
             if outcome is Result.UNKNOWN:
                 return None
             return outcome is Result.SAT

@@ -4,8 +4,8 @@ Resiliency is monotone in the failure budget — enlarging the budget can
 only admit more threat vectors — so the largest holding budget can be
 found with a galloping upper-bound probe followed by binary search.
 This helper is the single implementation behind
-:mod:`repro.analysis.max_resiliency` and the
-:class:`~repro.engine.VerificationEngine` search methods.
+:meth:`VerificationEngine.max_resiliency
+<repro.engine.VerificationEngine.max_resiliency>`.
 
 With resource-bounded solving the oracle is *three-valued*: a probe may
 come back UNKNOWN when its budget expires.  UNKNOWN is **neither
@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-__all__ = ["SearchBounds", "galloping_max", "galloping_max_bounded"]
+from ..sat.limits import ResourceLimitReached
+
+__all__ = ["SearchBounds", "galloping_max_bounded"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,21 @@ class SearchBounds:
     @property
     def exact(self) -> bool:
         return self.lower == self.upper and not self.unknown_budgets
+
+    @property
+    def value(self) -> int:
+        """The exact maximum; -1 when even k = 0 fails.
+
+        Raises :exc:`~repro.sat.ResourceLimitReached` carrying this
+        bracket when a probe's budget expired before the search pinned
+        the maximum down.
+        """
+        if not self.exact:
+            raise ResourceLimitReached(
+                f"solver budget exhausted during the max-resiliency "
+                f"search; maximum {self.describe()}",
+                bounds=self)
+        return self.lower
 
     def describe(self) -> str:
         if self.exact:
@@ -107,11 +124,3 @@ def galloping_max_bounded(check: Callable[[int], Optional[bool]],
             hi = mid - 1
     return SearchBounds(lo, lo)
 
-
-def galloping_max(check: Callable[[int], bool], upper: int) -> int:
-    """Largest k in [-1, upper] with ``check(k)`` true; check is monotone.
-
-    The two-valued facade over :func:`galloping_max_bounded` for
-    oracles that always decide.  Returns -1 when even k = 0 fails.
-    """
-    return galloping_max_bounded(check, upper).lower

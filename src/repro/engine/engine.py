@@ -177,7 +177,6 @@ class VerificationEngine:
     # ------------------------------------------------------------------
 
     def verify(self, spec: ResiliencySpec, minimize: bool = True,
-               max_conflicts: Optional[int] = None,
                certify: bool = False,
                limits: Optional[Limits] = None) -> VerificationResult:
         """Verify one resiliency specification on the engine's path.
@@ -195,12 +194,11 @@ class VerificationEngine:
                       backend="fresh" if fresh else "assumption") as sp:
             if fresh:
                 result = self.analyzer.verify(
-                    spec, minimize=minimize, max_conflicts=max_conflicts,
-                    certify=certify, limits=limits)
+                    spec, minimize=minimize, certify=certify,
+                    limits=limits)
             else:
                 result = self._warm(spec, lambda ctx: ctx.verify(
-                    spec, minimize=minimize, max_conflicts=max_conflicts,
-                    limits=limits))
+                    spec, minimize=minimize, limits=limits))
             sp.attrs["status"] = result.status.value
             sp.attrs["conflicts"] = int(result.stats.get("conflicts", 0))
             sp.attrs["restarts"] = int(result.stats.get("restarts", 0))
@@ -230,7 +228,6 @@ class VerificationEngine:
         spec: ResiliencySpec,
         limit: Optional[int] = None,
         minimal: bool = True,
-        max_conflicts: Optional[int] = None,
         limits: Optional[Limits] = None,
     ) -> List[ThreatVector]:
         """All (minimal) threat vectors within the budget.
@@ -241,21 +238,19 @@ class VerificationEngine:
         """
         if self.backend_name == "fresh":
             return self.analyzer.enumerate_threat_vectors(
-                spec, limit=limit, minimal=minimal,
-                max_conflicts=max_conflicts, limits=limits)
+                spec, limit=limit, minimal=minimal, limits=limits)
         return self._warm(spec, lambda ctx: ctx.enumerate(
-            spec, limit=limit, minimal=minimal,
-            max_conflicts=max_conflicts, limits=limits))
+            spec, limit=limit, minimal=minimal, limits=limits))
 
     # ------------------------------------------------------------------
-    # Maximal-resiliency searches (galloping + binary, shared helper)
+    # Maximal-resiliency search (galloping + binary, shared helper)
     # ------------------------------------------------------------------
 
     def structural(self) -> "StructuralAnalysis":
         """The polynomial structural pass over this configuration.
 
         Built lazily (see :mod:`repro.graphs`); shared by the screened
-        searches below and available to callers wanting indices or
+        search below and available to callers wanting indices or
         attack brackets without any solving.
         """
         if self._structural is None:
@@ -309,131 +304,53 @@ class VerificationEngine:
         return lower, upper
 
     def _probe(self, spec: ResiliencySpec,
-               max_conflicts: Optional[int],
                limits: Optional[Limits]) -> Optional[bool]:
         """Three-valued monotone oracle: None when the budget expired."""
-        result = self.verify(spec, minimize=False,
-                             max_conflicts=max_conflicts, limits=limits)
+        result = self.verify(spec, minimize=False, limits=limits)
         if result.status is Status.UNKNOWN:
             return None
         return result.is_resilient
 
-    @staticmethod
-    def _exact_max(bounds: SearchBounds, what: str) -> int:
-        if not bounds.exact:
-            raise ResourceLimitReached(
-                f"solver budget exhausted during {what} search; "
-                f"maximum {bounds.describe()}",
-                bounds=bounds)
-        return bounds.lower
+    def max_resiliency(self, prop: Property, *, axis: str = "total",
+                       other: int = 0, r: int = 1,
+                       limits: Optional[Limits] = None,
+                       screen: bool = True) -> SearchBounds:
+        """Sound bracket on the largest budget under which *prop* holds.
 
-    def max_total_resiliency_bounds(
-            self,
-            prop: Property = Property.OBSERVABILITY,
-            r: int = 1,
-            max_conflicts: Optional[int] = None,
-            limits: Optional[Limits] = None,
-            screen: bool = True) -> SearchBounds:
-        """Sound bracket on the largest k-resilient total budget.
-
-        With no limits the bracket is exact (``lower == upper``); an
-        UNKNOWN probe stops refinement and the true maximum lies in
+        *axis* picks the searched budget: ``"total"`` (k over all field
+        devices), ``"ied"`` (k1, with the RTU budget k2 fixed at
+        *other*) or ``"rtu"`` (k2, with k1 fixed at *other*).  Every
+        probe runs on this engine's path.  With no limits the bracket
+        is exact (:attr:`SearchBounds.value` reads it); an UNKNOWN
+        probe stops refinement and the true maximum lies in
         ``[lower, upper]``.  With *screen* (the default) the structural
-        pass seeds the search bracket, skipping probes it has already
-        decided; pass ``screen=False`` for a solver-only answer (the
-        cross-check does, to keep the two engines independent).
+        pass seeds the bracket, skipping probes it has already decided;
+        pass ``screen=False`` for a solver-only answer (the cross-check
+        does, to keep the two engines independent).
         """
-        fallback = len(self.network.field_device_ids)
+        devices = {"total": self.network.field_device_ids,
+                   "ied": self.network.ied_ids,
+                   "rtu": self.network.rtu_ids}.get(axis)
+        if devices is None:
+            raise ValueError(f"unknown axis {axis!r}; expected total, "
+                             f"ied or rtu")
+        if axis == "total" and other:
+            raise ValueError("the total budget has no other axis to fix")
+
+        def spec(k: int) -> ResiliencySpec:
+            if axis == "total":
+                return ResiliencySpec.for_property(prop, r=r, k=k)
+            k1, k2 = (k, other) if axis == "ied" else (other, k)
+            return ResiliencySpec.for_property(prop, r=r, k1=k1, k2=k2)
+
+        fallback = len(devices)
         lower, upper = (-1, fallback)
         if screen:
-            lower, upper = self._screen_seeds(prop, r, fallback)
+            lower, upper = self._screen_seeds(
+                prop, r, fallback,
+                split=None if axis == "total" else (axis, other))
         return galloping_max_bounded(
-            lambda k: self._probe(
-                ResiliencySpec.for_property(prop, r=r, k=k),
-                max_conflicts, limits),
-            upper, lower=lower)
-
-    def max_total_resiliency(self,
-                             prop: Property = Property.OBSERVABILITY,
-                             r: int = 1,
-                             max_conflicts: Optional[int] = None,
-                             limits: Optional[Limits] = None,
-                             screen: bool = True) -> int:
-        """Largest total k such that the k-resilient property holds.
-
-        Raises :exc:`~repro.sat.ResourceLimitReached` (carrying the
-        sound ``bounds`` bracket) if a probe's budget expires before
-        the maximum is pinned down exactly.
-        """
-        return self._exact_max(
-            self.max_total_resiliency_bounds(
-                prop=prop, r=r, max_conflicts=max_conflicts,
-                limits=limits, screen=screen),
-            "max-total-resiliency")
-
-    def max_ied_resiliency_bounds(
-            self,
-            prop: Property = Property.OBSERVABILITY,
-            k2: int = 0, r: int = 1,
-            max_conflicts: Optional[int] = None,
-            limits: Optional[Limits] = None,
-            screen: bool = True) -> SearchBounds:
-        """Sound bracket on the largest (k1, k2)-resilient IED budget."""
-        fallback = len(self.network.ied_ids)
-        lower, upper = (-1, fallback)
-        if screen:
-            lower, upper = self._screen_seeds(prop, r, fallback,
-                                              split=("ied", k2))
-        return galloping_max_bounded(
-            lambda k1: self._probe(
-                ResiliencySpec.for_property(prop, r=r, k1=k1, k2=k2),
-                max_conflicts, limits),
-            upper, lower=lower)
-
-    def max_ied_resiliency(self,
-                           prop: Property = Property.OBSERVABILITY,
-                           k2: int = 0, r: int = 1,
-                           max_conflicts: Optional[int] = None,
-                           limits: Optional[Limits] = None,
-                           screen: bool = True) -> int:
-        """Largest k1 with the (k1, k2)-resilient property holding."""
-        return self._exact_max(
-            self.max_ied_resiliency_bounds(
-                prop=prop, k2=k2, r=r, max_conflicts=max_conflicts,
-                limits=limits, screen=screen),
-            "max-IED-resiliency")
-
-    def max_rtu_resiliency_bounds(
-            self,
-            prop: Property = Property.OBSERVABILITY,
-            k1: int = 0, r: int = 1,
-            max_conflicts: Optional[int] = None,
-            limits: Optional[Limits] = None,
-            screen: bool = True) -> SearchBounds:
-        """Sound bracket on the largest (k1, k2)-resilient RTU budget."""
-        fallback = len(self.network.rtu_ids)
-        lower, upper = (-1, fallback)
-        if screen:
-            lower, upper = self._screen_seeds(prop, r, fallback,
-                                              split=("rtu", k1))
-        return galloping_max_bounded(
-            lambda k2: self._probe(
-                ResiliencySpec.for_property(prop, r=r, k1=k1, k2=k2),
-                max_conflicts, limits),
-            upper, lower=lower)
-
-    def max_rtu_resiliency(self,
-                           prop: Property = Property.OBSERVABILITY,
-                           k1: int = 0, r: int = 1,
-                           max_conflicts: Optional[int] = None,
-                           limits: Optional[Limits] = None,
-                           screen: bool = True) -> int:
-        """Largest k2 with the (k1, k2)-resilient property holding."""
-        return self._exact_max(
-            self.max_rtu_resiliency_bounds(
-                prop=prop, k1=k1, r=r, max_conflicts=max_conflicts,
-                limits=limits, screen=screen),
-            "max-RTU-resiliency")
+            lambda k: self._probe(spec(k), limits), upper, lower=lower)
 
     # ------------------------------------------------------------------
     # Model export (always through the fresh analyzer)

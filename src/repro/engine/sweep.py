@@ -1,8 +1,8 @@
 """Parallel sweep execution with fault tolerance.
 
-Sweep workloads — Fig. 5/6 bus-size and hierarchy scans, per-property
-audit maxima — are embarrassingly parallel across *instances* (distinct
-seeds, bus sizes, hierarchy levels): each task builds its own solver
+Sweep workloads — Fig. 5/6 bus-size and hierarchy scans, corpus grids
+— are embarrassingly parallel across *instances* (distinct seeds, bus
+sizes, hierarchy levels, grids): each task builds its own solver
 state, so processes share nothing.  :class:`SweepExecutor` fans such
 tasks over a process pool while keeping the results in task-submission
 order, so ``jobs=1`` and ``jobs=N`` produce byte-identical sweep

@@ -242,8 +242,8 @@ def cross_check(network: ScadaNetwork,
         n_field = len(network.field_device_ids)
         for prop in props:
             bounds = structural.attack_bounds(prop, r=r)
-            sat_bounds = engine.max_total_resiliency_bounds(
-                prop=prop, r=r, limits=limits, screen=False)
+            sat_bounds = engine.max_resiliency(prop, r=r, limits=limits,
+                                               screen=False)
             report.checks += 1
             if sat_bounds.unknown_budgets:
                 report.unknown += 1

@@ -94,9 +94,6 @@ class DeliveryGraph:
 
     # ------------------------------------------------------------------
 
-    def paths_of(self, device: int) -> List[Tuple[int, ...]]:
-        return list(self._paths.get(device, []))
-
     def deliverable(self, device: int) -> bool:
         """Whether the device has any enumerated delivery path."""
         return bool(self._paths.get(device))

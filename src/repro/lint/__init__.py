@@ -15,15 +15,12 @@ justification.
 from .config_rules import lint_case
 from .diagnostics import RULES, Diagnostic, LintReport, Severity
 from .encoding import analyze_cnf
-from .flow import DisjointFlowResult, disjoint_delivery_flow
 
 __all__ = [
     "Diagnostic",
-    "DisjointFlowResult",
     "LintReport",
     "RULES",
     "Severity",
     "analyze_cnf",
-    "disjoint_delivery_flow",
     "lint_case",
 ]

@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Set
 
 from ..core.problem import ObservabilityProblem
 from ..core.specs import Property, ResiliencySpec
+from ..graphs.flow import unit_vertex_cut
 from ..scada.network import ScadaNetwork
 from .diagnostics import Diagnostic, LintReport, Severity
-from .flow import disjoint_delivery_flow
 
 __all__ = ["lint_case"]
 
@@ -312,12 +312,14 @@ def _check_redundancy(network: ScadaNetwork,
             continue  # path enumeration blew the cap; stay silent
         if not paths:
             continue
-        result = disjoint_delivery_flow(
-            sources, paths, field, network.mtu_id,
-            bound=budget.max_failures)
-        if result.survives(budget.max_failures):
+        # Menger: the max number of device-disjoint delivery routes
+        # equals the size of the smallest field-device set whose failure
+        # silences the state; the flow search stops past the budget.
+        result = unit_vertex_cut(sources, paths, field, network.mtu_id,
+                                 bound=budget.max_failures)
+        if result.flow > budget.max_failures:
             continue
-        cut = result.cut_devices
+        cut = result.cut_vertices
         cut_text = ", ".join(network.label(d) for d in cut)
         if not budget.is_split:
             report.append(Diagnostic(

@@ -6,17 +6,17 @@ space one step past the certificate, breach-point ranking, cheapest
 attack, and hardening suggestions — into a single Markdown document.
 Exposed on the CLI as ``python -m repro report <config>``.
 
-All verification runs through one fresh-path
-:class:`~repro.engine.VerificationEngine`; with ``jobs > 1`` the
-per-property maximal-resiliency searches fan out across a process pool.
+Verification runs through one fresh-path
+:class:`~repro.engine.VerificationEngine`, except the maximal-resiliency
+searches: they run in turn on one ``assumption``-path engine that
+shares the fresh engine's reference evaluator.
 """
 
 from __future__ import annotations
 
 import io
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .analysis import (
     cheapest_threat,
@@ -30,7 +30,7 @@ from .core import (
     SearchBounds,
 )
 from .core.hardening import harden
-from .engine import SweepExecutor, VerificationEngine
+from .engine import VerificationEngine
 from .obs.tracer import span as obs_span
 from .sat.limits import Limits, ResourceLimitReached
 from .scada.network import ScadaNetwork
@@ -38,35 +38,10 @@ from .scada.network import ScadaNetwork
 __all__ = ["audit_report"]
 
 
-@dataclass(frozen=True)
-class _MaximaTask:
-    """Picklable maximal-resiliency workload for one property."""
-
-    network: ScadaNetwork
-    problem: ObservabilityProblem
-    prop: Property
-    limits: Optional[Limits] = None
-
-
-def _maxima_task(
-    task: _MaximaTask,
-) -> Tuple[SearchBounds, SearchBounds, SearchBounds]:
-    # Workers skip linting: the parent engine already linted the config.
-    engine = VerificationEngine(task.network, task.problem,
-                                backend="fresh", lint=False)
-    return (engine.max_total_resiliency_bounds(task.prop,
-                                               limits=task.limits),
-            engine.max_ied_resiliency_bounds(task.prop,
-                                             limits=task.limits),
-            engine.max_rtu_resiliency_bounds(task.prop,
-                                             limits=task.limits))
-
-
 def audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
                  threat_limit: int = 100,
                  include_hardening: bool = True,
                  include_attack_cost: bool = True,
-                 jobs: int = 1,
                  limits: Optional[Limits] = None) -> str:
     """Produce a Markdown resiliency-audit report for one configuration.
 
@@ -76,15 +51,15 @@ def audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
     the exhausted budget — the report never upgrades an UNKNOWN to a
     verdict.
     """
-    with obs_span("report", jobs=jobs):
+    with obs_span("report"):
         return _audit_report(network, problem, threat_limit,
                              include_hardening, include_attack_cost,
-                             jobs, limits)
+                             limits)
 
 
 def _audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
                   threat_limit: int, include_hardening: bool,
-                  include_attack_cost: bool, jobs: int,
+                  include_attack_cost: bool,
                   limits: Optional[Limits]) -> str:
     engine = VerificationEngine(network, problem, backend="fresh")
     out = io.StringIO()
@@ -113,17 +88,12 @@ def _audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
              Property.COMMAND_DELIVERABILITY)
     maxima = {}
     inexact_maxima = False
-    if jobs > 1:
-        tasks = [_MaximaTask(network, problem, prop, limits)
-                 for prop in props]
-        triples = SweepExecutor(jobs).map(_maxima_task, tasks)
-    else:
-        triples = [(engine.max_total_resiliency_bounds(prop,
-                                                       limits=limits),
-                    engine.max_ied_resiliency_bounds(prop, limits=limits),
-                    engine.max_rtu_resiliency_bounds(prop, limits=limits))
-                   for prop in props]
-    for prop, (total, ied, rtu) in zip(props, triples):
+    warm = VerificationEngine(network, problem, backend="assumption",
+                              lint=False, reference=engine.reference)
+    for prop in props:
+        total, ied, rtu = (warm.max_resiliency(prop, axis=axis,
+                                               limits=limits)
+                           for axis in ("total", "ied", "rtu"))
         maxima[prop] = total
         inexact_maxima |= not (total.exact and ied.exact and rtu.exact)
         out.write(f"| {prop.value} | {_fmt_k(total)} | {_fmt_k(ied)} | "

@@ -77,7 +77,6 @@ def enumerate_models(
     projection: Sequence[int],
     limit: Optional[int] = None,
     assumptions: Sequence[int] = (),
-    max_conflicts_per_model: Optional[int] = None,
     limits: Optional[Limits] = None,
 ) -> Iterator[List[int]]:
     """Yield models projected onto *projection* (positive variable ids).
@@ -89,17 +88,14 @@ def enumerate_models(
     projections.
 
     ``limit`` bounds the number of models; ``None`` enumerates all.
-    *limits* (and the legacy *max_conflicts_per_model* shorthand) bound
-    each individual solve; an expired budget raises
+    *limits* bounds each individual solve; an expired budget raises
     :exc:`~repro.sat.limits.ResourceLimitReached` carrying the models
     already found and the expired budget's
     :class:`~repro.sat.limits.LimitReason`.
     """
 
     def check() -> Optional[bool]:
-        return solver.solve(assumptions=assumptions,
-                            max_conflicts=max_conflicts_per_model,
-                            limits=limits)
+        return solver.solve(assumptions=assumptions, limits=limits)
 
     def extract() -> List[int]:
         return [v if solver.model_value(v) else -v for v in projection]

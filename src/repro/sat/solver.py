@@ -129,9 +129,6 @@ class ClauseArena:
         o = self.off[ref]
         return self.lits[o:o + self.length[ref]]
 
-    def is_dead(self, ref: int) -> bool:
-        return bool(self.flags[ref] & self.DEAD)
-
     @property
     def live_clauses(self) -> int:
         return len(self.off) - len(self.free)
@@ -362,15 +359,6 @@ class SatSolver:
         self._clauses.append(ref)
         self._attach(ref)
         return True
-
-    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
-        """Add every clause; returns ``False`` once unsatisfiable."""
-        ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause)
-            if not ok:
-                break
-        return ok
 
     def _attach(self, ref: int) -> None:
         # Convention: _watches[lit] holds the clauses in which `lit` is
@@ -783,7 +771,6 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def solve(self, assumptions: Sequence[int] = (),
-              max_conflicts: Optional[int] = None,
               limits: Optional[Limits] = None) -> Optional[bool]:
         """Solve under *assumptions* (DIMACS literals).
 
@@ -791,8 +778,8 @@ class SatSolver:
         (unsat: :meth:`core` holds a subset of the assumptions that is
         jointly unsatisfiable with the clauses), or ``None`` when a
         resource budget expired — *limits* (wall-clock, conflicts,
-        propagations, estimated memory), the legacy *max_conflicts*
-        shorthand, or a cooperative :meth:`interrupt`.  After a
+        propagations, estimated memory) or a cooperative
+        :meth:`interrupt`.  After a
         ``None`` answer :attr:`limit_reason` names the expired budget;
         a ``None`` answer is never a spurious verdict — the search was
         simply abandoned.
@@ -813,8 +800,6 @@ class SatSolver:
         self._assumption_set = set(assumption_ilits)
 
         effective = limits if limits is not None else Limits()
-        if max_conflicts is not None:
-            effective = effective.merged(Limits(max_conflicts=max_conflicts))
         deadline = (monotonic() + effective.max_time
                     if effective.max_time is not None else None)
         conflict_budget = effective.max_conflicts
@@ -1091,8 +1076,3 @@ class SatSolver:
         """Clauses submitted via :meth:`add_clause`, before level-0
         simplification — the *encoded* model size."""
         return self._clauses_added
-
-    @property
-    def num_learned(self) -> int:
-        return (len(self._tier_core) + len(self._tier_mid)
-                + len(self._tier_local))

@@ -11,9 +11,8 @@ between requests.  Four layers, one per module:
   per-tenant budgets, request coalescing (identical in-flight queries
   share one solve), cooperative cancellation via the engine's sticky
   interrupt.
-* :mod:`.executor` — the worker pool bridging asyncio to seconds-long
-  CPU-bound solves: a warm thread lane and a cold
-  :class:`~repro.engine.SweepExecutor` process lane.
+* :mod:`.executor` — the worker thread pool bridging asyncio to
+  seconds-long CPU-bound solves on the sessions' warm engines.
 * :mod:`.http` — the stdlib-asyncio HTTP transport and ``/metrics``.
 
 :mod:`.protocol` defines the wire shapes shared by all of them, and

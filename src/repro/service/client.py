@@ -135,12 +135,11 @@ class ServiceClient:
                        session: Optional[str] = None,
                        prop: Optional[str] = None,
                        limits: Optional[Dict[str, Any]] = None,
-                       screen: bool = True, cold: bool = False,
+                       screen: bool = True,
                        wait: bool = True) -> Dict[str, Any]:
         return self._solve("/max-resiliency", {
             "config": config, "session": session, "property": prop,
-            "limits": limits, "screen": screen, "cold": cold,
-            "wait": wait,
+            "limits": limits, "screen": screen, "wait": wait,
         })
 
     # -- watches --------------------------------------------------------

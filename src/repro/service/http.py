@@ -42,8 +42,10 @@ plus ``spec``/``limits`` objects (see :mod:`.protocol`), ``tenant``
 connection until the verdict.  A waiting client that disconnects
 triggers cooperative cancellation *iff* nobody else is attached to the
 job — coalesced twins and poll-mode submitters keep it alive.  The
-server picks the verification path: a request naming ``backend`` or
-``engine_cache`` is refused with 400 ``bad-request``.
+server picks the verification path: a request naming ``backend``,
+``engine_cache`` or ``cold`` is refused with 400 ``bad-request``.
+Every field of a request is decoded before any session is opened or
+looked up, so a malformed request never costs a warm session.
 
 Every request is timed into a per-route latency histogram
 (``service.http.<METHOD> <route>`` in milliseconds), and every job
@@ -54,6 +56,7 @@ serves — a trace ``repro stats`` aggregates like any CLI trace.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import urllib.parse
 from dataclasses import dataclass, field
@@ -77,7 +80,6 @@ from .jobs import (
     TenantPolicy,
     enumerate_fn,
     max_resiliency_fn,
-    max_resiliency_sweep_fn,
     run_traced,
     verify_fn,
 )
@@ -431,21 +433,20 @@ class ReproService:
         policy = self.jobs.policy_for(tenant)
         limits = policy.effective_limits(
             limits_from_payload(payload.get("limits")))
-        session = await self._resolve_session(payload)
-        wait = bool(payload.get("wait", False))
-        engine = session.engine
+        # Decode the whole request before a session is resolved: opening
+        # one may evict a warm session, which a request rejected with a
+        # 400 must never cost.
         kind: JobKind
-        fn: Callable[[], Dict[str, Any]]
-        interrupt: Optional[Callable[[], None]] = engine.interrupt
-        clear: Optional[Callable[[], None]] = engine.clear_interrupt
+        body: Callable[[Session], Callable[[], Dict[str, Any]]]
         if endpoint == "verify":
             kind = JobKind.VERIFY
             spec = spec_from_payload(payload.get("spec") or {})
             minimize = bool(payload.get("minimize", True))
-            key: Tuple[Any, ...] = (session.session_id, "verify", spec,
-                                    limits_key(limits), minimize)
+            key: Tuple[Any, ...] = ("verify", spec, limits_key(limits),
+                                    minimize)
             spec_text = spec.describe()
-            fn = verify_fn(session, spec, limits, minimize=minimize)
+            body = functools.partial(verify_fn, spec=spec, limits=limits,
+                                     minimize=minimize)
         elif endpoint == "enumerate":
             kind = JobKind.ENUMERATE
             spec = spec_from_payload(payload.get("spec") or {})
@@ -456,11 +457,11 @@ class ReproService:
                 raise ServiceError(400, "bad-request",
                                    "'limit' must be a positive integer")
             minimal = bool(payload.get("minimal", True))
-            key = (session.session_id, "enumerate", spec,
-                   limits_key(limits), limit, minimal)
+            key = ("enumerate", spec, limits_key(limits), limit, minimal)
             spec_text = f"enumerate {spec.describe()}"
-            fn = enumerate_fn(session, spec, limits, limit=limit,
-                              minimal=minimal)
+            body = functools.partial(enumerate_fn, spec=spec,
+                                     limits=limits, limit=limit,
+                                     minimal=minimal)
         else:
             kind = JobKind.MAX_RESILIENCY
             prop_value = payload.get("property",
@@ -472,36 +473,24 @@ class ReproService:
                     400, "bad-request",
                     f"unknown property {prop_value!r}") from None
             screen = bool(payload.get("screen", True))
-            cold = bool(payload.get("cold", False))
-            key = (session.session_id, "max", prop, limits_key(limits),
-                   screen, cold)
+            key = ("max", prop, limits_key(limits), screen)
             spec_text = f"max-resiliency {prop.value}"
-            if cold:
-                config_text = payload.get("config")
-                if not isinstance(config_text, str):
-                    raise ServiceError(
-                        400, "bad-request",
-                        "cold max-resiliency needs inline 'config' "
-                        "text (worker processes rebuild the engine)")
-                fn = max_resiliency_sweep_fn(
-                    config_text, prop, limits, screen,
-                    self.bridge.workers)
-                # Process-pool workers are beyond cooperative
-                # interrupt; cancellation only skips queued jobs.
-                interrupt = None
-                clear = None
-            else:
-                fn = max_resiliency_fn(session, prop, limits,
-                                       screen=screen)
+            body = functools.partial(max_resiliency_fn, prop=prop,
+                                     limits=limits, screen=screen)
+        wait = bool(payload.get("wait", False))
+        session = await self._resolve_session(payload)
+        fn = body(session)
         meta = {"service": SERVICE_VERSION, "kind": kind.value,
                 "session": session.session_id, "tenant": tenant,
                 "spec": spec_text}
         job, coalesced = self.jobs.submit(
             kind,
             lambda: self.bridge.run(run_traced, meta, fn),
-            key=key, session_id=session.session_id, tenant=tenant,
-            spec_text=spec_text, interrupt=interrupt,
-            clear_interrupt=clear, cancel_on_disconnect=wait)
+            key=(session.session_id, *key),
+            session_id=session.session_id, tenant=tenant,
+            spec_text=spec_text, interrupt=session.engine.interrupt,
+            clear_interrupt=session.engine.clear_interrupt,
+            cancel_on_disconnect=wait)
         if not wait:
             return _Response.json(202, {
                 "job": job.job_id, "state": job.state.value,
@@ -598,6 +587,12 @@ class ReproService:
 
     async def _open_watch(self, payload: Dict[str, Any],
                           tenant: str) -> _Response:
+        # Floors and limits are decoded before any session lookup or
+        # config parse, so a malformed request costs nothing.
+        floors = self._watch_floors(payload)
+        policy = self.jobs.policy_for(tenant)
+        limits = policy.effective_limits(
+            limits_from_payload(payload.get("limits")))
         session_id = payload.get("session")
         if session_id is not None:
             if not isinstance(session_id, str):
@@ -617,10 +612,9 @@ class ReproService:
             config = await self.bridge.run(self.sessions.parse,
                                            config_text)
             attached = None
-        floors = self._watch_floors(payload, config.spec)
-        policy = self.jobs.policy_for(tenant)
-        limits = policy.effective_limits(
-            limits_from_payload(payload.get("limits")))
+        if floors is None:
+            floors = [config.spec if config.spec is not None
+                      else spec_from_payload({})]
         watch = await self.watchers.create(
             config, floors, limits=limits, tenant=tenant,
             session_id=attached)
@@ -633,14 +627,12 @@ class ReproService:
         })
 
     @staticmethod
-    def _watch_floors(payload: Dict[str, Any],
-                      default: Optional[ResiliencySpec]
-                      ) -> List[ResiliencySpec]:
+    def _watch_floors(payload: Dict[str, Any]
+                      ) -> Optional[List[ResiliencySpec]]:
+        """The request's floors; ``None`` defers to the config's spec."""
         floors_payload = payload.get("floors")
         if floors_payload is None:
-            if default is not None:
-                return [default]
-            return [spec_from_payload({})]
+            return None
         if not isinstance(floors_payload, list) or not floors_payload:
             raise ServiceError(400, "bad-watch",
                                "'floors' must be a non-empty list of "

@@ -22,7 +22,7 @@ occupying the pool.  Over-limit submissions are rejected with 429 at
 admission — never silently queued without bound.
 
 **Cooperative cancellation.**  Cancelling a queued job simply marks it;
-cancelling a *running* warm-lane job arms the engine's sticky
+cancelling a *running* job arms the engine's sticky
 :meth:`~repro.engine.VerificationEngine.interrupt`, the in-flight solve
 returns UNKNOWN (limit reason ``interrupt``), the warm context survives
 for the next request, and the job finishes with the exit-code-3
@@ -62,7 +62,7 @@ from ..core.specs import Property
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, thread_activate
 from ..sat.limits import Limits, ResourceLimitReached
-from .executor import ExecutorBridge, sweep_max_searches
+from .executor import ExecutorBridge
 from .protocol import (
     JobKind,
     JobState,
@@ -75,8 +75,7 @@ from .protocol import (
 from .sessions import Session
 
 __all__ = ["Job", "JobManager", "JobOutcome", "TenantPolicy",
-           "enumerate_fn", "max_resiliency_fn", "max_resiliency_sweep_fn",
-           "run_traced", "verify_fn"]
+           "enumerate_fn", "max_resiliency_fn", "run_traced", "verify_fn"]
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ class Job:
 
 
 # ----------------------------------------------------------------------
-# Worker-thread job bodies (warm lane)
+# Worker-thread job bodies
 # ----------------------------------------------------------------------
 
 def run_traced(meta: Mapping[str, Any],
@@ -251,7 +250,7 @@ def enumerate_fn(session: Session, spec: Any, limits: Optional[Limits],
 def max_resiliency_fn(session: Session, prop: Property,
                       limits: Optional[Limits],
                       screen: bool = True) -> Callable[[], Dict[str, Any]]:
-    """Warm-lane body: the three searches on the session's engine.
+    """The three searches, in turn, on the session's engine.
 
     Probes share the session's warm contexts, and a cancel interrupt
     reaches them cooperatively — interrupted probes come back UNKNOWN,
@@ -260,32 +259,10 @@ def max_resiliency_fn(session: Session, prop: Property,
 
     def fn() -> Dict[str, Any]:
         session.touch()
-        engine = session.engine
-        total = engine.max_total_resiliency_bounds(
-            prop, limits=limits, screen=screen)
-        ied = engine.max_ied_resiliency_bounds(
-            prop, limits=limits, screen=screen)
-        rtu = engine.max_rtu_resiliency_bounds(
-            prop, limits=limits, screen=screen)
-        return max_resiliency_payload(prop.value, total, ied, rtu)
-
-    return fn
-
-
-def max_resiliency_sweep_fn(config_text: str, prop: Property,
-                            limits: Optional[Limits],
-                            screen: bool,
-                            jobs: int) -> Callable[[], Dict[str, Any]]:
-    """Cold-lane body: the three searches fanned over a process pool.
-
-    No warm state and no cooperative interrupt (the workers are
-    separate processes) — but the sweep layer's retries and crash
-    salvage apply, and per-probe :class:`Limits` still bound the work.
-    """
-
-    def fn() -> Dict[str, Any]:
-        total, ied, rtu = sweep_max_searches(
-            config_text, prop.value, limits, screen, jobs)
+        total, ied, rtu = (
+            session.engine.max_resiliency(prop, axis=axis, limits=limits,
+                                          screen=screen)
+            for axis in ("total", "ied", "rtu"))
         return max_resiliency_payload(prop.value, total, ied, rtu)
 
     return fn
@@ -546,11 +523,9 @@ class JobManager:
         """Request cooperative cancellation; returns the job.
 
         Queued jobs finish as CANCELLED without ever touching the
-        engine.  Running warm-lane jobs get a sticky engine interrupt:
-        the solve in flight returns UNKNOWN and the job finishes with
-        the exit-code-3 payload.  Cold-lane (process pool) jobs cannot
-        be interrupted mid-solve; the mark is honored at the next
-        scheduling point.  Cancelling a finished job is a no-op.
+        engine.  Running jobs get a sticky engine interrupt: the solve
+        in flight returns UNKNOWN and the job finishes with the
+        exit-code-3 payload.  Cancelling a finished job is a no-op.
         """
         job = self.get(job_id)
         if job.state.finished or job.cancel_requested:

@@ -134,8 +134,9 @@ def spec_from_payload(payload: Mapping[str, Any]) -> ResiliencySpec:
 
 
 #: Request fields the service no longer accepts: the server picks the
-#: verification path and sizes each watcher's engine pool itself.
-REMOVED_FIELDS = ("backend", "engine_cache")
+#: verification path, sizes each watcher's engine pool and runs every
+#: search on the session's own engine.
+REMOVED_FIELDS = ("backend", "engine_cache", "cold")
 
 
 def reject_removed_fields(payload: Mapping[str, Any]) -> None:

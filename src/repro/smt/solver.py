@@ -306,20 +306,16 @@ class Solver:
         self._sat.hooks = hooks
 
     def check(self, *assumptions: Term,
-              max_conflicts: Optional[int] = None,
               limits: Optional[Limits] = None) -> Result:
         """Solve the current assertions under optional assumption terms.
 
-        *limits* (and/or the legacy *max_conflicts* shorthand) bound
-        the solve; an expired budget yields :data:`Result.UNKNOWN` with
-        :attr:`last_limit_reason` set — never a spurious sat/unsat.
+        *limits* bounds the solve; an expired budget yields
+        :data:`Result.UNKNOWN` with :attr:`last_limit_reason` set —
+        never a spurious sat/unsat.
         """
         self._model = None
         self._core_terms = []
         self.last_limit_reason = None
-        effective = limits if limits is not None else Limits()
-        if max_conflicts is not None:
-            effective = effective.merged(Limits(max_conflicts=max_conflicts))
         assumption_lits: List[int] = list(self._selectors)
         lit_to_term: Dict[int, Term] = {}
         for term in assumptions:
@@ -330,7 +326,7 @@ class Solver:
         started = time.perf_counter()
         before = self._sat.stats.as_dict()
         outcome = self._sat.solve(assumptions=assumption_lits,
-                                  limits=effective)
+                                  limits=limits)
         delta = self._sat.stats.delta(before)
         elapsed = time.perf_counter() - started
         self.statistics.check_time += elapsed
@@ -370,10 +366,6 @@ class Solver:
         return list(self._core_terms)
 
     # ------------------------------------------------------------------
-
-    def bool_var(self, name: str) -> BoolVar:
-        """Convenience constructor (parity with ``z3.Bool``)."""
-        return BoolVar(name)
 
     @property
     def num_vars(self) -> int:

@@ -48,10 +48,6 @@ class Encoder:
             self._var_names[name] = lit
         return lit
 
-    def known_var(self, name: str) -> int:
-        """Like :meth:`var` but raises KeyError for unseen names."""
-        return self._var_names[name]
-
     @property
     def var_names(self) -> Dict[str, int]:
         return dict(self._var_names)

@@ -4,18 +4,21 @@ import math
 
 import pytest
 
-from repro.analysis import (
-    estimate_availability,
-    max_total_resiliency,
-)
+from repro.analysis import estimate_availability
 from repro.analysis.monte_carlo import AvailabilityEstimate
 from repro.cases import case_analyzer
 from repro.core import Property
+from repro.engine import VerificationEngine
 
 
 @pytest.fixture(scope="module")
 def fig3():
     return case_analyzer("fig3")
+
+
+def _k_star(analyzer):
+    engine = VerificationEngine.wrap(analyzer)
+    return engine.max_resiliency(Property.OBSERVABILITY).value
 
 
 def test_zero_failure_probability_is_fully_available(fig3):
@@ -40,7 +43,7 @@ def test_availability_decreases_with_failure_rate(fig3):
 
 
 def test_certificate_cross_check(fig3):
-    k_star = max_total_resiliency(fig3)
+    k_star = _k_star(fig3)
     estimate = estimate_availability(fig3, failure_probability=0.1,
                                      samples=3000, seed=2,
                                      certificate=k_star,
@@ -52,7 +55,7 @@ def test_certificate_cross_check(fig3):
 
 
 def test_wrong_certificate_is_caught(fig3):
-    k_star = max_total_resiliency(fig3)
+    k_star = _k_star(fig3)
     with pytest.raises(AssertionError):
         estimate_availability(fig3, failure_probability=0.4,
                               samples=3000, seed=3,
@@ -87,7 +90,7 @@ def test_certificate_skip_performs_no_reference_evaluations(fig3):
     """The k*-certificate shortcut must actually skip evaluation: with
     cross_check off (the default), certified scenarios cost zero
     reference calls."""
-    k_star = max_total_resiliency(fig3)
+    k_star = _k_star(fig3)
     counting = _CountingAnalyzer(fig3)
     n = len(fig3.network.field_device_ids)
     estimate = estimate_availability(counting, failure_probability=0.1,
@@ -100,7 +103,7 @@ def test_certificate_skip_performs_no_reference_evaluations(fig3):
 
 
 def test_cross_check_true_evaluates_certified_scenarios(fig3):
-    k_star = max_total_resiliency(fig3)
+    k_star = _k_star(fig3)
     counting = _CountingAnalyzer(fig3)
     estimate = estimate_availability(counting, failure_probability=0.1,
                                      samples=500, seed=2,

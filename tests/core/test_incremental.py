@@ -90,8 +90,9 @@ def test_max_resiliency_matches_binary_search(system):
     fresh = VerificationEngine.wrap(ScadaAnalyzer(network, problem))
     warm = VerificationEngine(network, problem, backend="assumption",
                               lint=False)
-    assert warm.max_total_resiliency(screen=False) == \
-        fresh.max_total_resiliency()
+    prop = Property.OBSERVABILITY
+    assert warm.max_resiliency(prop, screen=False).value == \
+        fresh.max_resiliency(prop).value
 
 
 def test_case_study_parity():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SearchBounds, galloping_max_bounded
-from repro.core.search import galloping_max
+from repro.sat import ResourceLimitReached
 
 
 def _oracle(true_max, unknown_at=()):
@@ -53,7 +53,7 @@ def test_all_unknown_keeps_full_range():
 
 def test_facade_returns_lower_bound():
     check, _ = _oracle(true_max=2)
-    assert galloping_max(check, 10) == 2
+    assert galloping_max_bounded(check, 10).lower == 2
 
 
 def test_unknown_at_zero_proves_nothing():
@@ -117,3 +117,15 @@ def test_unseeded_call_matches_legacy_behavior():
     legacy = galloping_max_bounded(check2, 10)
     assert seeded == legacy
     assert 0 in calls  # the unseeded search still starts at zero
+
+
+def test_value_reads_exact_maximum_and_raises_on_inexact():
+    check, _ = _oracle(true_max=2)
+    assert galloping_max_bounded(check, 10).value == 2
+    assert SearchBounds(-1, -1).value == -1
+    inexact = galloping_max_bounded(lambda k: None if k == 3 else k < 5,
+                                    10)
+    with pytest.raises(ResourceLimitReached) as excinfo:
+        inexact.value
+    assert excinfo.value.bounds == inexact
+    assert "UNKNOWN" in str(excinfo.value)

@@ -80,6 +80,31 @@ def test_missing_corpus_exits_2(tmp_path, capsys):
     assert "corpus generate" in err
 
 
+def test_run_trace_covers_parallel_sweep(corpus_root, tmp_path, capsys,
+                                        monkeypatch):
+    import repro.corpus.runner as runner_mod
+    from repro.obs.schema import load_trace, validate_trace
+
+    # Unscreened cells are solved, so the workers have spans to ship
+    # (forked workers inherit the patch).
+    monkeypatch.setattr(runner_mod, "_screen_cell",
+                        lambda engine, spec: None)
+    trace = str(tmp_path / "sweep.jsonl")
+    main(["corpus", "run", corpus_root, "--ks", "0", "--jobs", "2",
+          "--trace", trace])
+    capsys.readouterr()
+    records = load_trace(trace)
+    assert validate_trace(records) == []
+    tasks = [r for r in records
+             if r["type"] == "event" and r["name"] == "sweep.task"]
+    assert len(tasks) == 2  # one task per grid
+    assert all(isinstance(t["attrs"].get("worker"), int) for t in tasks)
+    # Worker-side query spans were replayed with pid attribution.
+    queries = [r for r in records
+               if r["type"] == "span" and r["name"] == "query"]
+    assert queries and all("worker" in q for q in queries)
+
+
 def test_run_with_trace_feeds_stats(corpus_root, tmp_path, capsys):
     trace = str(tmp_path / "trace.jsonl")
     main(["corpus", "run", corpus_root, "--ks", "0", "--trace", trace])

@@ -5,8 +5,11 @@ The property test generates randomized SCADA instances (the §V-A
 generator over IEEE cases) and random specifications, then checks that
 both backends return the same verdict and that any threat vector is
 confirmed by the reference evaluator — the strongest cross-check the
-substrate offers.
+substrate offers.  The max-resiliency differential pins both paths'
+search brackets to a plain ladder of fresh verifies.
 """
+
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +20,11 @@ from repro.core import (
     ObservabilityProblem,
     Property,
     ResiliencySpec,
+    SearchBounds,
     Status,
 )
 from repro.engine import VerificationEngine
+from repro.grid import ieee14
 from repro.grid.ieee_cases import case_by_buses
 from repro.scada import GeneratorConfig, generate_scada
 from repro.service import ServiceClientError
@@ -90,15 +95,59 @@ def test_backends_enumerate_same_threat_space(seed, k):
         assert canonical["fresh"] == canonical[name], name
 
 
-def test_max_resiliency_equivalent_across_backends(fig3_case):
-    network, problem = fig3_case
-    maxima = {
-        name: VerificationEngine(network, problem, backend=name,
-                                 lint=False).max_total_resiliency(
-                                     Property.OBSERVABILITY)
-        for name in PATHS
+@functools.lru_cache(maxsize=None)
+def _search_engines(case):
+    """Both paths' engines per case, kept warm across parametrizations."""
+    from repro.cases import case_problem, fig3_network, fig4_network
+
+    if case == "ieee14":
+        synthetic = generate_scada(ieee14(), GeneratorConfig(
+            measurement_fraction=0.6, hierarchy_level=1, seed=3))
+        network = synthetic.network
+        problem = ObservabilityProblem.from_table(synthetic.table)
+    else:
+        network = fig4_network() if case == "fig4" else fig3_network()
+        problem = case_problem()
+    return {name: VerificationEngine(network, problem, backend=name,
+                                     lint=False)
+            for name in PATHS}
+
+
+def _axis_budget(axis, k):
+    return {"total": {"k": k}, "ied": {"k1": k, "k2": 0},
+            "rtu": {"k1": 0, "k2": k}}[axis]
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_ladder(case, prop, axis):
+    """Largest budget a ladder of fresh verifies accepts (-1: none)."""
+    engine = _search_engines(case)["fresh"]
+    network = engine.network
+    top = len({"total": network.field_device_ids,
+               "ied": network.ied_ids, "rtu": network.rtu_ids}[axis])
+    accepted = -1
+    for k in range(top + 1):
+        spec = ResiliencySpec.for_property(prop, **_axis_budget(axis, k))
+        if not engine.verify(spec, minimize=False).is_resilient:
+            break
+        accepted = k
+    return accepted
+
+
+@pytest.mark.parametrize("screen", [True, False],
+                         ids=["screen", "no-screen"])
+@pytest.mark.parametrize("axis", ["total", "ied", "rtu"])
+@pytest.mark.parametrize("prop", list(Property), ids=lambda p: p.value)
+@pytest.mark.parametrize("case", ["fig3", "fig4", "ieee14"])
+def test_max_resiliency_equivalent_across_backends(case, prop, axis,
+                                                   screen):
+    brackets = {
+        name: engine.max_resiliency(prop, axis=axis, screen=screen)
+        for name, engine in _search_engines(case).items()
     }
-    assert len(set(maxima.values())) == 1, maxima
+    k_star = _fresh_ladder(case, prop, axis)
+    exact = SearchBounds(k_star, k_star)
+    assert brackets == {"fresh": exact, "assumption": exact}
 
 
 def test_incremental_certify_falls_back_to_fresh(fig3_case):
@@ -153,7 +202,8 @@ def test_removed_backends_rejected_everywhere(fig3_case, tmp_path,
             capsys.readouterr().err, argv
     box = RunningService(jobs=1)
     try:
-        for field, value in (("backend", name), ("engine_cache", 8)):
+        for field, value in (("backend", name), ("engine_cache", 8),
+                             ("cold", True)):
             for path in ("/sessions", "/verify", "/max-resiliency",
                          "/watch"):
                 with pytest.raises(ServiceClientError) as err:
@@ -174,6 +224,20 @@ def test_removed_verify_flags_rejected(tmp_path, capsys, flag):
     config.write_text("[system]\nstates = 1\n")
     with pytest.raises(SystemExit) as exited:
         main(["verify", str(config), "--k", "1", *flag])
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["max-resiliency", "{config}", "--jobs", "2"],
+    ["report", "{config}", "--jobs", "2"],
+    ["client", "max-resiliency", "{config}", "--cold"],
+], ids=["max-resiliency-jobs", "report-jobs", "client-cold"])
+def test_removed_fanout_flags_rejected(tmp_path, capsys, argv):
+    config = tmp_path / "fig3.scada"
+    config.write_text("[system]\nstates = 1\n")
+    with pytest.raises(SystemExit) as exited:
+        main([arg.format(config=config) for arg in argv])
     assert exited.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -90,9 +90,10 @@ def test_exports_available_on_every_backend():
 
 
 def test_max_searches_on_engine(fig3_engine):
-    total = fig3_engine.max_total_resiliency(Property.OBSERVABILITY)
-    ied = fig3_engine.max_ied_resiliency(Property.OBSERVABILITY)
-    rtu = fig3_engine.max_rtu_resiliency(Property.OBSERVABILITY)
+    total, ied, rtu = (
+        fig3_engine.max_resiliency(Property.OBSERVABILITY,
+                                   axis=axis).value
+        for axis in ("total", "ied", "rtu"))
     assert total >= 0
     assert ied >= total
     assert rtu >= 0

@@ -149,6 +149,27 @@ def test_protect_removes_a_vertex_from_the_failure_model():
     assert protected.flow >= INF  # no unit vertex left on the route
 
 
+def test_two_sources_on_disjoint_routes():
+    # Two IEDs, each with its own RTU to the MTU (5).
+    result = unit_vertex_cut([1, 2], [(1, 3, 5), (2, 4, 5)],
+                             {1, 2, 3, 4}, 5)
+    assert result.flow == 2
+    assert len(result.cut_vertices) == 2
+
+
+def test_dual_homed_source_still_costs_its_own_unit():
+    # One IED with two RTU routes: the IED itself is the only min cut.
+    result = unit_vertex_cut([1], [(1, 2, 5), (1, 3, 5)], {1, 2, 3}, 5)
+    assert result.flow == 1
+    assert result.cut_vertices == (1,)
+
+
+def test_non_unit_forwarder_is_uncuttable():
+    # Vertex 4 (a router) is not a unit vertex: infinite capacity.
+    result = unit_vertex_cut([1, 2], [(1, 4, 5), (2, 4, 5)], {1, 2}, 5)
+    assert result.flow == 2
+
+
 def test_source_counts_toward_its_own_cut():
     result = unit_vertex_cut([1], [(1, 9)], {1}, 9)
     assert result.flow == 1

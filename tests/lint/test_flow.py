@@ -1,69 +1,40 @@
-"""Device-disjoint delivery flow (the SCADA013 engine)."""
+"""Device-disjoint delivery flow (the SCADA013 engine).
 
-from repro.lint import disjoint_delivery_flow
+The rule calls :func:`repro.graphs.flow.unit_vertex_cut` with the IEDs
+covering a state as sources, their assured paths, the field devices as
+unit vertices, the MTU as sink and the failure budget as bound; a state
+survives the budget when the flow exceeds it.
+"""
+
+from repro.graphs.flow import unit_vertex_cut
 
 
 def test_single_chain_has_flow_one():
-    result = disjoint_delivery_flow(
-        source_ieds=[1], paths=[[1, 2, 3]], field_devices={1, 2}, sink=3)
+    result = unit_vertex_cut([1], [[1, 2, 3]], {1, 2}, 3)
     assert result.flow == 1
-    assert not result.survives(1)
+    assert not result.flow > 1
     # The minimum cut is a single device on the chain.
-    assert len(result.cut_devices) == 1
-    assert set(result.cut_devices) <= {1, 2}
-
-
-def test_two_disjoint_routes():
-    # Two IEDs, each with its own RTU to the MTU (5).
-    result = disjoint_delivery_flow(
-        source_ieds=[1, 2],
-        paths=[[1, 3, 5], [2, 4, 5]],
-        field_devices={1, 2, 3, 4}, sink=5)
-    assert result.flow == 2
-    assert result.survives(1)
-    assert not result.survives(2)
+    assert len(result.cut_vertices) == 1
+    assert set(result.cut_vertices) <= {1, 2}
 
 
 def test_shared_rtu_is_the_bottleneck():
     # Both IEDs route through RTU 3: one failure (RTU 3) cuts delivery.
-    result = disjoint_delivery_flow(
-        source_ieds=[1, 2],
-        paths=[[1, 3, 5], [2, 3, 5]],
-        field_devices={1, 2, 3}, sink=5)
+    result = unit_vertex_cut([1, 2], [[1, 3, 5], [2, 3, 5]],
+                             {1, 2, 3}, 5)
     assert result.flow == 1
-    assert result.cut_devices == (3,)
-
-
-def test_dual_homed_ied_still_costs_its_own_unit():
-    # One IED with two RTU routes: the IED itself is the only min cut.
-    result = disjoint_delivery_flow(
-        source_ieds=[1],
-        paths=[[1, 2, 5], [1, 3, 5]],
-        field_devices={1, 2, 3}, sink=5)
-    assert result.flow == 1
-    assert result.cut_devices == (1,)
-
-
-def test_routers_do_not_count_as_cut_devices():
-    # Device 4 is a router (not in field_devices): infinite capacity.
-    result = disjoint_delivery_flow(
-        source_ieds=[1, 2],
-        paths=[[1, 4, 5], [2, 4, 5]],
-        field_devices={1, 2}, sink=5)
-    assert result.flow == 2
+    assert result.cut_vertices == (3,)
 
 
 def test_bound_early_exit_skips_cut():
-    result = disjoint_delivery_flow(
-        source_ieds=[1, 2],
-        paths=[[1, 3, 5], [2, 4, 5]],
-        field_devices={1, 2, 3, 4}, sink=5, bound=0)
+    result = unit_vertex_cut([1, 2], [[1, 3, 5], [2, 4, 5]],
+                             {1, 2, 3, 4}, 5, bound=0)
     assert result.flow > 0
-    assert result.cut_devices == ()
+    assert result.cut_vertices == ()
 
 
 def test_no_sources_or_paths():
-    empty = disjoint_delivery_flow([], [], set(), sink=1)
-    assert empty.flow == 0 and empty.cut_devices == ()
-    no_paths = disjoint_delivery_flow([1], [], {1}, sink=2)
+    empty = unit_vertex_cut([], [], set(), 1)
+    assert empty.flow == 0 and empty.cut_vertices == ()
+    no_paths = unit_vertex_cut([1], [], {1}, 2)
     assert no_paths.flow == 0

@@ -71,7 +71,7 @@ def test_budget_exhaustion_raises():
             for p2 in range(p1 + 1, holes + 1):
                 s.add_clause([-P[p1, h], -P[p2, h]])
     with pytest.raises(RuntimeError):
-        list(enumerate_models(s, [1], max_conflicts_per_model=1))
+        list(enumerate_models(s, [1], limits=Limits(max_conflicts=1)))
 
 
 def _pigeonhole_solver(holes=6):
@@ -98,7 +98,7 @@ def test_budget_exhaustion_salvages_partial_models():
     # one-conflict budget expires mid-enumeration.
     s = _pigeonhole_solver()
     with pytest.raises(ResourceLimitReached) as excinfo:
-        list(enumerate_models(s, [1], max_conflicts_per_model=1))
+        list(enumerate_models(s, [1], limits=Limits(max_conflicts=1)))
     exc = excinfo.value
     assert isinstance(exc, RuntimeError)
     assert exc.reason is LimitReason.CONFLICTS

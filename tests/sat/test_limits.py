@@ -166,11 +166,12 @@ def test_interrupt_is_sticky_until_cleared():
     assert s.solve() is False
 
 
-def test_legacy_max_conflicts_merges_with_limits():
+def test_merged_conflict_limits_stricter_wins():
     s = _pigeonhole(6)
     # The stricter of the two bounds wins.
-    assert s.solve(max_conflicts=10_000_000,
-                   limits=Limits(max_conflicts=1)) is None
+    merged = Limits(max_conflicts=10_000_000).merged(
+        Limits(max_conflicts=1))
+    assert s.solve(limits=merged) is None
     assert s.limit_reason is LimitReason.CONFLICTS
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sat import SatSolver
+from repro.sat import Limits, SatSolver
 from repro.sat.solver import _luby
 
 
@@ -76,7 +76,7 @@ def test_max_conflicts_budget_returns_none():
         for p1 in range(holes + 1):
             for p2 in range(p1 + 1, holes + 1):
                 s.add_clause([-P[p1, h], -P[p2, h]])
-    assert s.solve(max_conflicts=1) is None
+    assert s.solve(limits=Limits(max_conflicts=1)) is None
     # And it is solvable without the budget.
     assert s.solve() is False
 

@@ -20,6 +20,7 @@ from repro.obs.stats import aggregate
 from repro.sat.limits import Limits
 from repro.service import ServiceClientError
 from repro.service.jobs import TenantPolicy
+from tests.service.conftest import fig4_config_text
 
 
 
@@ -298,13 +299,12 @@ def test_sessions_listing_includes_solver_totals(service, fig3_text):
 
 
 def test_warm_job_rejects_backend_override(service, fig3_text):
-    """The server picks the path: no job may name a backend, warm or
-    cold."""
+    """The server picks the path: no job may name a backend, by
+    session or by inline config."""
     client = service.client
     session_id = client.open_session(fig3_text)["session"]
     for payload in ({"session": session_id, "backend": "fresh"},
-                    {"config": fig3_text, "backend": "fresh",
-                     "cold": True}):
+                    {"config": fig3_text, "backend": "fresh"}):
         with pytest.raises(ServiceClientError) as err:
             client.request("POST", "/max-resiliency",
                            dict(payload, wait=True))
@@ -313,15 +313,37 @@ def test_warm_job_rejects_backend_override(service, fig3_text):
         assert "'backend'" in str(err.value)
 
 
-def test_cold_max_resiliency_matches_warm(service, fig3_text):
+@pytest.mark.parametrize("endpoint, body", [
+    ("/verify", {"spec": {"k": -1}}),
+    ("/enumerate", {"spec": {"k": 1}, "limit": 0}),
+    ("/max-resiliency", {"property": "nope"}),
+], ids=["verify", "enumerate", "max-resiliency"])
+def test_rejected_request_keeps_warm_session(running, fig3_text, endpoint,
+                                             body):
+    """A malformed request with inline config is refused before its
+    config opens a session, so it cannot evict a warm one."""
+    box = running(max_sessions=1)
+    client = box.client
+    session_id = client.open_session(fig3_text)["session"]
+    with pytest.raises(ServiceClientError) as err:
+        client.request("POST", endpoint,
+                       dict(body, config=fig4_config_text(), wait=True))
+    assert err.value.status == 400
+    stats = client.sessions()["stats"]
+    assert (stats["created"], stats["evicted"]) == (1, 0)
+    outcome = client.verify(session=session_id, spec={"k": 1}, wait=True)
+    assert outcome["result"]["exit_code"] == 0
+
+
+def test_watch_request_decoded_before_lookup_or_parse(service):
     client = service.client
-    bounds = client.max_resiliency(config=fig3_text, cold=True,
-                                   wait=True)
-    assert bounds["result"]["exit_code"] == 0
-    assert bounds["result"]["total"]["exact"] is True
-    reference = client.max_resiliency(config=fig3_text, wait=True)
-    assert (bounds["result"]["total"]["lower"]
-            == reference["result"]["total"]["lower"])
+    with pytest.raises(ServiceClientError) as err:
+        client.open_watch(session="no-such-session", floors=[])
+    assert (err.value.status, err.value.code) == (400, "bad-watch")
+    with pytest.raises(ServiceClientError) as err:
+        client.open_watch(config="not a configuration",
+                          limits={"max_time": -1})
+    assert (err.value.status, err.value.code) == (400, "bad-limits")
 
 
 @pytest.mark.parametrize("config", ["not a configuration", "lint-fails",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sat import Limits
 from repro.smt import (
     AtMost,
     Bool,
@@ -118,7 +119,7 @@ def test_unknown_on_budget():
         s.add(Or(*[vars_[p, h] for h in range(holes)]))
     for h in range(holes):
         s.add(AtMost([vars_[p, h] for p in range(pigeons)], 1))
-    assert s.check(max_conflicts=1) == Result.UNKNOWN
+    assert s.check(limits=Limits(max_conflicts=1)) == Result.UNKNOWN
     assert s.check() == Result.UNSAT
 
 

@@ -182,28 +182,6 @@ def test_verify_trace_roundtrip_through_stats(tmp_path, capsys):
     assert payload["problems"] == []
 
 
-def test_max_resiliency_trace_covers_parallel_sweep(tmp_path, capsys):
-    from repro.obs.schema import load_trace, validate_trace
-
-    path = str(tmp_path / "system.scada")
-    trace = str(tmp_path / "sweep.jsonl")
-    main(["generate", "--buses", "14", "--seed", "5", "--out", path])
-    capsys.readouterr()
-    assert main(["max-resiliency", path, "--jobs", "2",
-                 "--trace", trace]) == 0
-    capsys.readouterr()
-    records = load_trace(trace)
-    assert validate_trace(records) == []
-    tasks = [r for r in records
-             if r["type"] == "event" and r["name"] == "sweep.task"]
-    assert len(tasks) == 3
-    assert all(isinstance(t["attrs"].get("worker"), int) for t in tasks)
-    # Worker-side query spans were replayed with pid attribution.
-    queries = [r for r in records
-               if r["type"] == "span" and r["name"] == "query"]
-    assert queries and all("worker" in q for q in queries)
-
-
 def test_stats_rejects_missing_file(tmp_path, capsys):
     code = main(["stats", str(tmp_path / "nope.jsonl")])
     err = capsys.readouterr().err

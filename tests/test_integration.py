@@ -9,7 +9,7 @@ search on the same system.
 import numpy as np
 import pytest
 
-from repro.analysis import max_total_resiliency, threat_space
+from repro.analysis import threat_space
 from repro.core import (
     ObservabilityProblem,
     Property,
@@ -17,6 +17,7 @@ from repro.core import (
     ScadaAnalyzer,
     Status,
 )
+from repro.engine import VerificationEngine
 from repro.grid import DcStateEstimator, UnobservableError, ieee14
 from repro.scada import (
     CaseConfig,
@@ -37,6 +38,11 @@ def system():
     return synthetic, ScadaAnalyzer(synthetic.network, problem)
 
 
+def _k_star(analyzer):
+    engine = VerificationEngine.wrap(analyzer)
+    return engine.max_resiliency(Property.OBSERVABILITY).value
+
+
 def test_config_roundtrip_preserves_verdicts(system):
     synthetic, analyzer = system
     problem = analyzer.problem
@@ -52,7 +58,7 @@ def test_config_roundtrip_preserves_verdicts(system):
 
 def test_threat_vector_breaks_the_estimator(system):
     synthetic, analyzer = system
-    k = max_total_resiliency(analyzer)
+    k = _k_star(analyzer)
     result = analyzer.verify(ResiliencySpec.observability(k=k + 1))
     assert result.status is Status.THREAT_FOUND
     estimator = DcStateEstimator(synthetic.table)
@@ -71,7 +77,7 @@ def test_threat_vector_breaks_the_estimator(system):
 
 def test_within_certificate_estimation_always_works(system):
     synthetic, analyzer = system
-    k = max_total_resiliency(analyzer)
+    k = _k_star(analyzer)
     estimator = DcStateEstimator(synthetic.table)
     rng = np.random.default_rng(0)
     angles = rng.normal(0, 0.1, 14)
@@ -94,7 +100,7 @@ def test_within_certificate_estimation_always_works(system):
 
 def test_enumeration_count_consistent_with_verify(system):
     _, analyzer = system
-    k = max_total_resiliency(analyzer)
+    k = _k_star(analyzer)
     resilient_spec = ResiliencySpec.observability(k=k)
     broken_spec = ResiliencySpec.observability(k=k + 1)
     assert threat_space(analyzer, resilient_spec).size == 0
